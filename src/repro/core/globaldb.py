@@ -27,7 +27,8 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..urlkit import normalize_url
 from .records import BlockType, decode_stages, encode_stages
@@ -137,7 +138,16 @@ class SyncBatch:
     timestamps, reporter id) instead of per-row objects.  One batch is
     built in a single pass over the shard and can be shared by every
     client of the AS at the same ``since_version``, which is what the
-    fleet cohort exploits.
+    fleet cohort and the server's per-shard batch cache exploit.
+
+    Sharing contract: a batch is immutable, and its rows are decoded
+    into :class:`GlobalEntry` objects once per batch, cached as
+    :attr:`decoded`.  Every :class:`GlobalView` that applies the batch
+    stores those same row objects, so they are read-only:
+    consumers copy what they need (the measurement session takes
+    ``list(entry.stages)``).  The rows are built from the columns, never
+    taken from the shard, so the server refreshing an entry in place
+    cannot reach a client view before that client's next pull.
     """
 
     asn: int
@@ -166,27 +176,24 @@ class SyncBatch:
         total += sum(len(url) + 1 for url in self.removed)
         return total
 
-    def entries(self) -> List[GlobalEntry]:
-        """Materialize per-row objects (decode side of the spec tests)."""
-        return [
-            GlobalEntry(
-                url=url,
-                asn=self.asn,
-                stages=decode_stages(code),
-                measured_at=measured,
-                posted_at=posted,
-                last_uuid=uuid,
-                first_measured_at=first,
-            )
-            for url, code, measured, posted, first, uuid in zip(
+    @cached_property
+    def decoded(self) -> Tuple[GlobalEntry, ...]:
+        """The rows as :class:`GlobalEntry` objects, parallel to
+        :attr:`urls`; decoded once and shared read-only (see above)."""
+        # Positional, in GlobalEntry's field order (url, asn, stages,
+        # measured_at, posted_at, last_uuid, first_measured_at).
+        return tuple(
+            map(
+                GlobalEntry,
                 self.urls,
-                self.stage_codes,
+                itertools.repeat(self.asn),
+                map(decode_stages, self.stage_codes),
                 self.measured_at,
                 self.posted_at,
-                self.first_measured_at,
                 self.reporter_uuids,
+                self.first_measured_at,
             )
-        ]
+        )
 
 
 class _AsShard:
@@ -230,14 +237,19 @@ class _AsShard:
         while len(self.log) > limit:
             self.floor = self.log.popleft()[0]
 
-    def touched_since(self, since_version: int) -> Set[str]:
-        """URLs changed after ``since_version`` (caller checked >= floor)."""
-        touched: Set[str] = set()
+    def touched_since(self, since_version: int) -> List[str]:
+        """URLs changed after ``since_version`` (caller checked >= floor),
+        each once, in the order of their first change after it.
+
+        An ordered list rather than a set, so the row order of every
+        delta does not depend on string hashing (``PYTHONHASHSEED``).
+        """
+        touched: List[str] = []
         for version, url in reversed(self.log):
             if version <= since_version:
                 break
-            touched.add(url)
-        return touched
+            touched.append(url)
+        return list(dict.fromkeys(reversed(touched)))
 
 
 class ServerDB:
@@ -390,9 +402,12 @@ class ServerDB:
         A client growing its report list dilutes its vote on *every* key
         it vouches for, which can flip entries across a consumer's
         ``min_votes`` threshold — those entries must surface in the next
-        delta even though nothing re-posted them.
+        delta even though nothing re-posted them.  The ledger hands the
+        keys over as a set; they are logged in sorted order so the change
+        log, and with it the row order of every delta, does not follow
+        string hashing.
         """
-        for url, asn in keys:
+        for url, asn in sorted(keys):
             shard = self._shards.get(asn)
             if shard is not None and url in shard.entries:
                 shard.mark_changed(url)
@@ -556,7 +571,8 @@ class ServerDB:
         items when a weighted pull asked for them — and invalidated by
         any shard change, so serving a whole cohort between changes
         constructs each distinct batch once (the serve counters still
-        count every pull).
+        count every pull).  The empty delta of an up-to-date client is
+        one such batch, built once per shard version.
         """
         shard = self._shards.get(asn)
         if shard is None:
@@ -573,8 +589,6 @@ class ServerDB:
             since_key: Optional[int] = None
         else:
             self.delta_syncs_served += 1
-            if since_version == shard.version:
-                return SyncBatch(asn=asn, version=shard.version, full=False)
             since_key = since_version
         if plane_weights is None:
             key: Tuple = (since_key, min_reporters, min_votes)
@@ -608,9 +622,13 @@ class ServerDB:
         """Construct one columnar batch (cache-miss path).
 
         ``since_version`` is ``None`` for a full snapshot; otherwise a
-        delta strictly between the shard's floor and current version.
+        delta from a version between the shard's floor and its current
+        version (empty when it is the current version).
         Columns are built by per-field passes over the selected rows —
-        C-speed comprehensions instead of six appends per row.
+        C-speed comprehensions instead of six appends per row.  Under
+        the default (accept-all) criterion no vote statistics are read:
+        every stored entry has at least one reporter (the invariant
+        :meth:`blocked_for_as` relies on), so it passes by construction.
         """
         stats = self._stats_fn(plane_weights)
         check_votes = (
@@ -633,8 +651,9 @@ class ServerDB:
             rows = []
             for url in shard.touched_since(since_version):
                 entry = entries.get(url)
-                if entry is not None and stats(url, asn).passes(
-                    min_reporters, min_votes
+                if entry is not None and (
+                    not check_votes
+                    or stats(url, asn).passes(min_reporters, min_votes)
                 ):
                     rows.append(entry)
                 else:
@@ -697,7 +716,7 @@ class ServerDB:
         """
         self._clients.pop(uuid, None)
         affected = self.voting.revoke_client(uuid)
-        for url, asn in affected:
+        for url, asn in sorted(affected):  # hash-free log order
             shard = self._shards.get(asn)
             if shard is None or url not in shard.entries:
                 continue

@@ -20,7 +20,6 @@ from ..urlkit import base_url, normalize_url
 from .config import CSawConfig
 from .globaldb import GlobalEntry, ServerDB, SyncBatch, SyncResult
 from .localdb import LocalDatabase
-from .records import decode_stages
 
 __all__ = ["GlobalView", "ReportingService", "ensure_collector"]
 
@@ -80,48 +79,24 @@ class GlobalView:
     def apply_batch(self, batch: SyncBatch, now: float) -> None:
         """Fold one columnar :class:`SyncBatch` into the cached view.
 
-        One pass over the parallel columns, rebuilding entries in place
-        — bit-identical to :meth:`apply_sync` on the equivalent
-        :class:`SyncResult` (the property tests enforce it).
+        Bit-identical to :meth:`apply_sync` on the equivalent
+        :class:`SyncResult` (the property tests enforce it).  The view
+        stores the batch's :attr:`~SyncBatch.decoded` rows themselves:
+        every view that applies one (cached, shared) batch holds the
+        same read-only entry objects, decoded once per batch rather than
+        once per pull.  Rows are replaced, never mutated, by later
+        pulls, so one view's delta cannot change another view.
         """
-        asn = batch.asn
-        columns = zip(
-            batch.urls,
-            batch.stage_codes,
-            batch.measured_at,
-            batch.posted_at,
-            batch.first_measured_at,
-            batch.reporter_uuids,
-        )
+        rows = zip(batch.urls, batch.decoded)
         if batch.full:
-            self._entries = {
-                url: GlobalEntry(
-                    url=url,
-                    asn=asn,
-                    stages=decode_stages(code),
-                    measured_at=measured,
-                    posted_at=posted,
-                    last_uuid=uuid,
-                    first_measured_at=first,
-                )
-                for url, code, measured, posted, first, uuid in columns
-            }
+            self._entries = dict(rows)
         else:
             entries = self._entries
             for url in batch.removed:
                 entries.pop(url, None)
-            for url, code, measured, posted, first, uuid in columns:
-                entries[url] = GlobalEntry(
-                    url=url,
-                    asn=asn,
-                    stages=decode_stages(code),
-                    measured_at=measured,
-                    posted_at=posted,
-                    last_uuid=uuid,
-                    first_measured_at=first,
-                )
+            entries.update(rows)
         self.version = batch.version
-        self.synced_asn = asn
+        self.synced_asn = batch.asn
         self.last_synced = now
 
     def lookup(self, url: str) -> Optional[GlobalEntry]:

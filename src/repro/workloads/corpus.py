@@ -10,6 +10,7 @@ blocking, §7.4).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,12 +69,18 @@ class Corpus:
     sites: List[SiteSpec]
     cdn_hostnames: List[str]
     zipf_exponent: float = 0.9
-    _weights: Optional[List[float]] = field(default=None, repr=False)
+    # Cumulative Zipf popularity weights, built once: the exact list
+    # ``random.choices(sites, weights=...)`` would accumulate on every
+    # draw, so passing it as ``cum_weights`` gives the same sites and
+    # consumes the RNG identically.
+    _cum_weights: List[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._weights = [
-            1.0 / (site.rank ** self.zipf_exponent) for site in self.sites
-        ]
+        self._cum_weights = list(
+            itertools.accumulate(
+                1.0 / (site.rank ** self.zipf_exponent) for site in self.sites
+            )
+        )
 
     def sites_in_category(self, category: str) -> List[SiteSpec]:
         return [s for s in self.sites if s.category == category]
@@ -83,7 +90,7 @@ class Corpus:
         return [s.hostname for s in self.sites if s.category in wanted]
 
     def sample_site(self, rng: random.Random) -> SiteSpec:
-        return rng.choices(self.sites, weights=self._weights)[0]
+        return rng.choices(self.sites, cum_weights=self._cum_weights)[0]
 
     def sample_page_url(self, rng: random.Random) -> str:
         site = self.sample_site(rng)

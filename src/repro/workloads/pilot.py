@@ -368,10 +368,11 @@ class PilotStudy:
                     tcp_urls[entry.url] = None
                 elif stage.value == "block-page":
                     bp_urls[entry.url] = None
+        cdn_blocked = set(self.cdn_blocked)
         cdn_detected = {
-            parse_url(e.url).host
-            for e in entries
-            if parse_url(e.url).host in set(self.cdn_blocked)
+            host
+            for host in (parse_url(e.url).host for e in entries)
+            if host in cdn_blocked
         }
         reporting = [c.reporting for c in self.clients if c.reporting]
         plt_stage_seconds: Dict[str, float] = {}

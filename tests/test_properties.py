@@ -438,3 +438,40 @@ class TestGroupedSweepProperties:
             assert (ga.pulls, ga.pull_ptr) == (sa.pulls, sa.pull_ptr)
             assert ga.unconverged == sa.unconverged
             assert ga.converged_at == sa.converged_at
+
+
+class TestCorpusSamplingProperties:
+    """``Corpus.sample_site`` draws through precomputed cumulative Zipf
+    weights; it must pick the same sites as ``rng.choices`` over the
+    plain weights and leave the RNG in the same state."""
+
+    @given(
+        n_sites=st.integers(min_value=1, max_value=60),
+        corpus_seed=st.integers(min_value=0, max_value=2**16),
+        rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zipf_exponent=st.floats(min_value=0.0, max_value=3.0),
+        draws=st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_site_matches_weighted_choices(
+        self, n_sites, corpus_seed, rng_seed, zipf_exponent, draws
+    ):
+        import random
+
+        from repro.workloads.corpus import Corpus, build_corpus
+
+        built = build_corpus(n_sites=n_sites, seed=corpus_seed)
+        corpus = Corpus(
+            sites=built.sites,
+            cdn_hostnames=built.cdn_hostnames,
+            zipf_exponent=zipf_exponent,
+        )
+        weights = [1.0 / (site.rank ** zipf_exponent) for site in corpus.sites]
+        fast, reference = random.Random(rng_seed), random.Random(rng_seed)
+        got = [corpus.sample_site(fast) for _ in range(draws)]
+        want = [
+            reference.choices(corpus.sites, weights=weights)[0]
+            for _ in range(draws)
+        ]
+        assert [site.rank for site in got] == [site.rank for site in want]
+        assert fast.getstate() == reference.getstate()

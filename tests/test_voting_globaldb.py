@@ -641,3 +641,181 @@ class TestBatchCache:
         assert server.sync_batch_for_as(
             self.ASN, now=4.0, since_version=v1
         ) is delta
+
+
+class TestSharedBatchRows:
+    """Views that apply one cached SyncBatch share its decoded rows.
+
+    The rows are read-only and built from the batch's columns, so
+    sharing must be invisible: a later pull into one view, or the server
+    refreshing an entry in place, never reaches another view.
+    """
+
+    ASN = 17557
+
+    def make_reports(self, urls, stages=(BlockType.BLOCK_PAGE,)):
+        return [
+            ReportItem(url=url, asn=self.ASN, stages=stages, measured_at=1.0)
+            for url in urls
+        ]
+
+    @staticmethod
+    def snapshot(view):
+        return (
+            view.version,
+            [
+                (e.url, tuple(e.stages), e.measured_at, e.posted_at,
+                 e.first_measured_at, e.last_uuid)
+                for e in view._entries.values()
+            ],
+        )
+
+    def two_synced_views(self, server):
+        from repro.core.reporting import GlobalView
+
+        views = (GlobalView(), GlobalView())
+        batches = [
+            server.sync_batch_for_as(
+                self.ASN, now=2.0, since_version=view.since_version(self.ASN)
+            )
+            for view in views
+        ]
+        assert batches[0] is batches[1]  # one cached batch
+        for view, batch in zip(views, batches):
+            view.apply_batch(batch, now=2.0)
+        return views
+
+    def test_views_share_decoded_rows(self):
+        server = ServerDB(entry_ttl=None)
+        uuid = server.register(now=0.0)
+        server.post_update(
+            uuid, self.make_reports(["http://a.com/", "http://b.com/"]), now=1.0
+        )
+        first, second = self.two_synced_views(server)
+        for url in ("http://a.com/", "http://b.com/"):
+            assert first.lookup(url) is second.lookup(url)
+            # Decoded from the columns, never the shard's live entry.
+            assert first.lookup(url) is not server.entry(url, self.ASN)
+
+    def test_delta_into_one_view_leaves_the_other(self):
+        server = ServerDB(entry_ttl=None)
+        uuid = server.register(now=0.0)
+        server.post_update(
+            uuid, self.make_reports(["http://a.com/", "http://b.com/"]), now=1.0
+        )
+        first, second = self.two_synced_views(server)
+        before = self.snapshot(second)
+        other = server.register(now=2.5)
+        server.post_update(
+            other,
+            self.make_reports(
+                ["http://a.com/", "http://c.com/"],
+                stages=(BlockType.DNS_TIMEOUT,),
+            ),
+            now=3.0,
+        )
+        server.post_dissent(uuid, "http://b.com/", self.ASN, now=3.5)
+        delta = server.sync_batch_for_as(
+            self.ASN, now=4.0, since_version=first.since_version(self.ASN)
+        )
+        assert not delta.full and delta.removed == ("http://b.com/",)
+        first.apply_batch(delta, now=4.0)
+        assert first.lookup("http://b.com/") is None
+        assert first.lookup("http://a.com/").stages == [
+            BlockType.BLOCK_PAGE, BlockType.DNS_TIMEOUT,
+        ]
+        assert self.snapshot(second) == before
+
+    def test_server_refresh_in_place_waits_for_next_pull(self):
+        server = ServerDB(entry_ttl=None)
+        uuid = server.register(now=0.0)
+        server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
+        first, second = self.two_synced_views(server)
+        before = [self.snapshot(first), self.snapshot(second)]
+        live = server.entry("http://a.com/", self.ASN)
+        server.post_update(
+            uuid,
+            self.make_reports(["http://a.com/"], stages=(BlockType.IP_RST,)),
+            now=3.0,
+        )
+        # post_update refreshed the shard's entry object in place ...
+        assert server.entry("http://a.com/", self.ASN) is live
+        assert live.stages == [BlockType.BLOCK_PAGE, BlockType.IP_RST]
+        # ... and neither view saw it.
+        assert [self.snapshot(first), self.snapshot(second)] == before
+        first.apply_batch(
+            server.sync_batch_for_as(
+                self.ASN, now=4.0, since_version=first.since_version(self.ASN)
+            ),
+            now=4.0,
+        )
+        assert first.lookup("http://a.com/").stages == live.stages
+        assert first.lookup("http://a.com/").posted_at == 3.0
+        assert self.snapshot(second) == before[1]
+
+
+class TestVoteFreeDeltaBuild:
+    """Under the default (accept-all) criterion a delta batch is built
+    without reading vote statistics; it must equal the vote-checked
+    build.  A vanishing ``min_votes`` forces the checked branch, which
+    every stored entry passes (each has at least one reporter)."""
+
+    ASN = 17557
+    CHECKED = 1e-12
+
+    # (op, client, url): 0-1 post, 2 dissent, 3 revoke (op 3 ignores url),
+    # 4 pull: compare the vote-free and vote-checked deltas.
+    ops = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=5),
+        ),
+        max_size=40,
+    )
+
+    @given(ops)
+    @settings(max_examples=60, deadline=None)
+    def test_vote_free_delta_equals_checked(self, operations):
+        server = ServerDB(entry_ttl=None)
+        uuids = [server.register(now=float(i)) for i in range(4)]
+        stats_calls = []
+        ledger_stats = server.voting.stats
+
+        def counting_stats(url, asn):
+            stats_calls.append((url, asn))
+            return ledger_stats(url, asn)
+
+        server.voting.stats = counting_stats
+        since = None
+        now = 10.0
+        for op, client, url_index in operations:
+            now += 1.0
+            uuid, url = uuids[client], f"http://u{url_index}.example/"
+            if op <= 1:
+                if server.is_registered(uuid):
+                    server.post_update(
+                        uuid,
+                        [ReportItem(url=url, asn=self.ASN,
+                                    stages=(BlockType.BLOCK_PAGE,),
+                                    measured_at=now - 0.5)],
+                        now=now,
+                    )
+            elif op == 2:
+                if server.is_registered(uuid):
+                    server.post_dissent(uuid, url, self.ASN, now=now)
+            elif op == 3:
+                server.revoke(uuid)
+            else:
+                del stats_calls[:]
+                free = server.sync_batch_for_as(
+                    self.ASN, now, since_version=since
+                )
+                assert stats_calls == []
+                checked = server.sync_batch_for_as(
+                    self.ASN, now, since_version=since, min_votes=self.CHECKED
+                )
+                if checked.urls:
+                    assert stats_calls  # the checked build read votes
+                assert free == checked  # every column, rows and removed
+                since = free.version
