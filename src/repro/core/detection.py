@@ -415,7 +415,12 @@ def measure_direct_path(
     """
     detector = detector or BlockpageDetector()
     if trace is None:
-        trace = SessionTrace(lambda: world.env.now, url=url, actor=actor)
+        # Close over env, not world (as MeasurementSession does): the
+        # outcome keeps this trace, so a world-capturing clock makes a
+        # GC cycle wherever the world reaches the outcome (e.g. through
+        # a process it ran).
+        env = world.env
+        trace = SessionTrace(lambda: env.now, url=url, actor=actor)
     run = _DirectPathRun(
         world, ctx, url, detector, max_redirects, first_byte, trace
     )

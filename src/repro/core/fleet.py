@@ -397,10 +397,12 @@ class ClientCohort:
         if sweep_mode not in ("grouped", "spec"):
             raise ValueError(f"unknown sweep_mode: {sweep_mode!r}")
         self.sweep_mode = sweep_mode
+        # The plain function, not a bound method: storing
+        # self._service_pulls_grouped on self is a reference cycle.
         self._service_pulls = (
-            self._service_pulls_grouped
+            ClientCohort._service_pulls_grouped
             if sweep_mode == "grouped"
-            else self._service_pulls_spec
+            else ClientCohort._service_pulls_spec
         )
         self.server = server
         self.seed = seed
@@ -788,7 +790,7 @@ class ClientCohort:
                     if group.report_ptr < len(group.report_order):
                         self._post_due_reports(st, now)
                         break
-            self._service_pulls(st, now)
+            self._service_pulls(self, st, now)
             if groups:
                 n = st.n
                 for group in groups:

@@ -21,7 +21,8 @@ the flow the local_DB dictates:
 
 ``handle_request`` returns as soon as content is served; measurement
 bookkeeping continues in a background process (exposed as
-``ServedResponse.measurement_process`` so experiments can join on it).
+``ServedResponse.measurement_process`` so experiments can join on it;
+joining yields ``None``).
 Every response carries the session's full stage trace
 (``ServedResponse.trace``); the module aggregates per-stage durations
 into ``stage_seconds`` — the PLT breakdown ``CSawClient.stats()`` and
@@ -57,6 +58,11 @@ class ServedResponse:
     Created at serve time; the background measurement process may update
     ``status``/``stages``/``corrected*`` afterwards — join on
     ``measurement_process`` before reading them in experiments.
+
+    ``measurement_process`` is a join handle only: yielding it resumes
+    once the session has finished (after its local_DB write), with value
+    ``None``.  It never carries the response back, so a completed
+    response and its trace are freed by refcount once dropped.
     """
 
     url: str
@@ -85,6 +91,17 @@ class ServedResponse:
 from . import session as _session_module
 
 _session_module.ServedResponse = ServedResponse
+
+
+def _join(session: MeasurementSession) -> Generator:
+    """Process body behind ``ServedResponse.measurement_process``.
+
+    Runs the session and drops its result: a process keeps its return
+    value, so returning the response here would make response → process
+    → response a reference cycle that pins the whole session (trace,
+    fetch results, detection outcome) until a cyclic collection.
+    """
+    yield from session.run()
 
 
 class MeasurementModule:
@@ -177,7 +194,7 @@ class MeasurementModule:
         session = MeasurementSession(
             self, ctx, url, duplicable=method == "GET"
         )
-        worker = env.process(session.run())
+        worker = env.process(_join(session))
         response = yield session.served_event
         response.measurement_process = worker
         return response

@@ -476,8 +476,13 @@ class Environment:
 
     @property
     def active_process(self) -> Optional[Process]:
-        """The process currently executing (only meaningful from inside a
-        process generator; between resumes it retains the last process)."""
+        """The process currently executing.
+
+        Only meaningful from inside a process generator.  Between resumes
+        within :meth:`run` it retains the last process; :meth:`run` clears
+        it on exit, so a finished run pins no process (and, through it, no
+        process result) from the environment.
+        """
         return self._active_process
 
     # -- event constructors -------------------------------------------------
@@ -644,6 +649,7 @@ class Environment:
                 while self.peek() <= deadline:
                     self.step()
             finally:
+                self._active_process = None
                 if gc_was_enabled:
                     _gc.enable()
             self._now = deadline
@@ -658,9 +664,10 @@ class Environment:
         queue = self._queue
         popleft = imm.popleft
         imm_append = imm.append
-        # Pause the cyclic collector for the duration of the loop: kernel
-        # allocations are acyclic (reclaimed by refcount), and the churn
-        # otherwise triggers constant generation-0 scans.
+        # Pause the cyclic collector for the duration of the loop: what
+        # the simulation allocates is acyclic (reclaimed by refcount; see
+        # tests/test_no_cyclic_garbage.py), and the churn otherwise
+        # triggers constant generation-0 scans.
         gc_was_enabled = _gc.isenabled()
         if gc_was_enabled:
             _gc.disable()
@@ -790,6 +797,7 @@ class Environment:
                 if until is not None and until._waiters is None:
                     break
         finally:
+            self._active_process = None
             if gc_was_enabled:
                 _gc.enable()
         if until._ok:

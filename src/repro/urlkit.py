@@ -11,7 +11,7 @@ Only the subset of URL syntax the reproduction needs is supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -50,8 +50,11 @@ class ParsedUrl:
     def is_base(self) -> bool:
         return self.path == "/"
 
+    # The derivations below construct directly: dataclasses.replace
+    # re-inspects the fields on every call, and base_url runs per request.
+
     def base(self) -> "ParsedUrl":
-        return replace(self, path="/")
+        return ParsedUrl(self.scheme, self.host, self.port, "/")
 
     def with_scheme(self, scheme: str) -> "ParsedUrl":
         if scheme not in _DEFAULT_PORTS:
@@ -59,10 +62,10 @@ class ParsedUrl:
         port = self.port
         if port == _DEFAULT_PORTS[self.scheme]:
             port = _DEFAULT_PORTS[scheme]
-        return replace(self, scheme=scheme, port=port)
+        return ParsedUrl(scheme, self.host, port, self.path)
 
     def with_host(self, host: str) -> "ParsedUrl":
-        return replace(self, host=host.lower())
+        return ParsedUrl(self.scheme, host.lower(), self.port, self.path)
 
     def __str__(self) -> str:
         return self.url

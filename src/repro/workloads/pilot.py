@@ -351,7 +351,8 @@ class PilotStudy:
     def report(self) -> PilotReport:
         entries = self.server.all_entries()
         urls = {e.url for e in entries}
-        reg_domains = {registered_domain(parse_url(e.url).host) for e in entries}
+        hosts = [parse_url(e.url).host for e in entries]
+        reg_domains = {registered_domain(host) for host in hosts}
         # Ordered dict-as-sets (the localdb.py idiom): only counts escape
         # today, but hash-ordered sets here would leak into any future
         # listing of block types/URLs in the report.
@@ -369,11 +370,7 @@ class PilotStudy:
                 elif stage.value == "block-page":
                     bp_urls[entry.url] = None
         cdn_blocked = set(self.cdn_blocked)
-        cdn_detected = {
-            host
-            for host in (parse_url(e.url).host for e in entries)
-            if host in cdn_blocked
-        }
+        cdn_detected = {host for host in hosts if host in cdn_blocked}
         reporting = [c.reporting for c in self.clients if c.reporting]
         plt_stage_seconds: Dict[str, float] = {}
         for client in self.clients:

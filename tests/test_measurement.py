@@ -1,5 +1,8 @@
 """Integration tests for the measurement module (Algorithm 1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -253,3 +256,69 @@ class TestGlobalViewIntegration:
     def test_measurement_module_shares_client_global_view(self, scenario):
         client = make_client(scenario, scenario.isp_a, "g3")
         assert client.measurement.global_view is client.global_view
+
+
+class TestMeasurementProcessJoin:
+    """``ServedResponse.measurement_process`` is a join handle: it resumes
+    the joiner once the session is done and carries no value back."""
+
+    def test_join_before_completion_resumes_after_local_db_write(
+        self, scenario
+    ):
+        client = make_client(scenario, scenario.isp_a, "j1")
+        url = scenario.urls["table5/tcp-ip"]
+        env = scenario.world.env
+
+        def proc():
+            response = yield from client.request(url)
+            process = response.measurement_process
+            # Served through circumvention while the direct path still
+            # waits out its TCP timeout.
+            assert process.is_alive
+            assert client.local_db.lookup(url)[0] is BlockStatus.NOT_MEASURED
+            served_at = env.now
+            value = yield process
+            return value, served_at, client.local_db.lookup(url)
+
+        value, served_at, (status, record) = scenario.world.run_process(
+            proc()
+        )
+        assert value is None
+        assert status is BlockStatus.BLOCKED
+        assert served_at < record.measured_at <= env.now
+
+    def test_join_after_completion_returns_at_once_with_none(self, scenario):
+        client = make_client(scenario, scenario.isp_a, "j2")
+        response = request(scenario, client, scenario.urls["youtube"])
+        process = response.measurement_process
+        assert not process.is_alive
+        env = scenario.world.env
+
+        def late_join():
+            joined_at = env.now
+            value = yield process
+            return value, env.now - joined_at
+
+        assert scenario.world.run_process(late_join()) == (None, 0.0)
+
+    def test_dropped_response_frees_its_trace_without_gc(self, scenario):
+        class Marker:
+            def __call__(self, event):
+                pass
+
+        client = make_client(scenario, scenario.isp_a, "j3")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            response = request(scenario, client, scenario.urls["youtube"])
+            marker = Marker()
+            response.trace.subscribe(marker)
+            trace_alive = weakref.ref(marker)
+            response_alive = weakref.ref(response)
+            del marker, response
+            # Refcount alone: no cyclic collection ran.
+            assert response_alive() is None
+            assert trace_alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
