@@ -15,44 +15,15 @@ from repro.censor.actions import DnsAction, DnsVerdict
 from repro.censor.policy import CensorPolicy, Matcher, Rule
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
-from repro.simnet.engine import Environment
+from record_engine_bench import run_spawn_join_storm, run_timer_storm
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
-def run_timer_storm(n_processes=200, ticks=50):
-    env = Environment()
-
-    def ticker(delay):
-        for _ in range(ticks):
-            yield env.timeout(delay)
-
-    for index in range(n_processes):
-        env.process(ticker(0.1 + index * 0.001))
-    env.run()
-    return env.now
 
 
 def test_kernel_event_throughput(benchmark):
     """~10k timeout events per round."""
     result = benchmark(run_timer_storm)
     assert result > 0
-
-
-def run_spawn_join_storm(width=40, depth=3):
-    env = Environment()
-
-    def node(level):
-        if level == 0:
-            yield env.timeout(0.01)
-            return 1
-        children = [env.process(node(level - 1)) for _ in range(3)]
-        gathered = yield env.all_of(children)
-        return sum(gathered.values())
-
-    roots = [env.process(node(depth)) for _ in range(width)]
-    env.run()
-    return sum(root.value for root in roots)
 
 
 def test_kernel_spawn_join_throughput(benchmark):
@@ -138,7 +109,9 @@ def test_globaldb_delta_sync_throughput(benchmark):
     def pulls():
         transferred = 0
         for asn, version in versions.items():
-            result = server.sync_for_as(asn, now=3.0, since_version=version)
+            result = server.sync_batch_for_as(
+                asn, now=3.0, since_version=version
+            )
             assert not result.full
             transferred += result.transferred
         return transferred

@@ -18,13 +18,23 @@ import argparse
 import json
 import pathlib
 import platform
+import sys
 import time
-
-from repro.censor.actions import DnsAction
-from repro.simnet.engine import Environment
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_engine.json"
+# Run as a script, sys.path[0] is benchmarks/; the test references
+# (tests/reference/) are imported from the repo root.
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from repro.censor.actions import DnsAction
+from repro.simnet.engine import Environment
+from tests.reference.policy import (
+    linear_on_dns_query,
+    linear_on_http_request,
+)
+from tests.reference.sync import apply_sync, sync_for_as
 
 
 def run_timer_storm(n_processes=200, ticks=50):
@@ -132,14 +142,14 @@ def check_policy_multirule_linear_smoke(_policy=_build_multirule_policy()):
     for i in range(120):
         qname = f"www.site{i % 250}.example.com"
         assert (
-            _policy.linear_on_dns_query(qname).action
+            linear_on_dns_query(_policy, qname).action
             is compiled.on_dns_query(qname).action
         ), qname
         host, path = f"cdn{i}.example.net", f"/page/{i % 97}"
         if i % 10 == 0:
             path = f"/stream/badword{i % 250}/x"
         assert (
-            _policy.linear_on_http_request(host, path).action
+            linear_on_http_request(_policy, host, path).action
             is compiled.on_http_request(host, path).action
         ), (host, path)
 
@@ -356,10 +366,10 @@ def run_fleet_pull_storm_batch(n_clients=2000, n_ases=10):
 
 
 def run_fleet_pull_storm_rows(n_clients=2000, n_ases=10):
-    """The same pull storm on the per-client row path: every client gets
-    its own ``SyncResult`` built and folds it into its own view — the
-    executable-spec shape ``ReportingService`` uses for a single client,
-    paid once per cohort member.  Kept timed so the batch path's speedup
+    """The same pull storm on the per-client row path of
+    ``tests/reference/sync.py``: every client gets its own
+    ``SyncResult`` built and folds it into its own view — one pull per
+    cohort member, no sharing.  Kept timed so the batch path's speedup
     stays visible."""
     from repro.core.reporting import GlobalView
 
@@ -368,9 +378,9 @@ def run_fleet_pull_storm_rows(n_clients=2000, n_ases=10):
     total = 0
     for index in range(n_clients):
         asn = 30000 + index % n_ases
-        result = server.sync_for_as(asn, now=10.0)
+        result = sync_for_as(server, asn, now=10.0)
         view = GlobalView()
-        view.apply_sync(result, now=10.0)
+        apply_sync(view, result, now=10.0)
         total += len(view)
     assert total == n_clients * per_as
     return total

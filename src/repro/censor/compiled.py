@@ -22,7 +22,8 @@ indexes*, each stage gathers the best (smallest) index over all criterion
 hits, and the verdict of that rule is returned — identical to scanning the
 rules in order and returning the first match (the property tests in
 ``tests/test_compiled_policy.py`` assert byte-identical verdicts against the
-linear reference on the Pakistan case-study world).
+linear rule scan in ``tests/reference/policy.py`` on the Pakistan
+case-study world).
 
 Instances are immutable snapshots.  :meth:`CensorPolicy.compiled` rebuilds
 one transparently whenever ``add_rule`` / ``remove_rules`` bumps the
@@ -173,7 +174,7 @@ class CompiledPolicy:
                     return index
         return _NO_MATCH
 
-    # -- stage hooks (mirror CensorPolicy.linear_on_*) ----------------------
+    # -- stage hooks (first match of the rule scan, by index) --------------
 
     def on_dns_query(self, qname: str) -> DnsVerdict:
         best = self._domain_hit(self._dns_domains, qname)

@@ -117,9 +117,9 @@ class CensorPolicy:
     The stage hooks (``on_dns_query`` & co.) are served by a compiled
     per-stage hash index (:class:`~repro.censor.compiled.CompiledPolicy`)
     that is rebuilt transparently whenever ``add_rule``/``remove_rules``
-    changes the rule list.  The ``linear_on_*`` twins keep the original
-    rule-scan semantics as the executable specification; the property
-    tests assert the two paths return identical verdict objects.  Mutating
+    changes the rule list.  The original first-match rule scan is kept
+    as a test reference (``tests/reference/policy.py``); the property
+    tests assert both return identical verdict objects.  Mutating
     a :class:`Matcher`'s criterion sets in place after the rule was added
     is NOT supported — go through ``add_rule``/``remove_rules``.
     """
@@ -164,38 +164,6 @@ class CensorPolicy:
 
     def on_tls_client_hello(self, sni: Optional[str], dst_ip: str) -> TlsVerdict:
         return self.compiled().on_tls_client_hello(sni, dst_ip)
-
-    # -- linear reference implementations -----------------------------------
-    # The pre-index semantics, kept as the executable spec the compiled
-    # index is property-tested against.
-
-    def linear_on_dns_query(self, qname: str) -> DnsVerdict:
-        for rule in self.rules:
-            if rule.dns is not PASS_DNS and rule.matcher.matches_qname(qname):
-                return rule.dns
-        return PASS_DNS
-
-    def linear_on_packet(self, dst_ip: str) -> IpVerdict:
-        for rule in self.rules:
-            if rule.ip is not PASS_IP and rule.matcher.matches_ip(dst_ip):
-                return rule.ip
-        return PASS_IP
-
-    def linear_on_http_request(self, host: str, path: str) -> HttpVerdict:
-        for rule in self.rules:
-            if rule.http is not PASS_HTTP and rule.matcher.matches_url(host, path):
-                return rule.http
-        return PASS_HTTP
-
-    def linear_on_tls_client_hello(
-        self, sni: Optional[str], dst_ip: str
-    ) -> TlsVerdict:
-        for rule in self.rules:
-            if rule.tls is PASS_TLS:
-                continue
-            if rule.matcher.matches_sni(sni) or rule.matcher.matches_ip(dst_ip):
-                return rule.tls
-        return PASS_TLS
 
     def __repr__(self) -> str:
         return f"CensorPolicy({self.name!r}, {len(self.rules)} rules)"

@@ -37,9 +37,9 @@ equal since-versions receives the same batch, the same row/byte
 increments, and the same resulting version.  The sweep therefore costs
 O(distinct since-versions) batch/metric work plus O(clients due) array
 bookkeeping via slice assignment — never a per-client dict/property
-dance.  The original per-client loop is retained as the executable
-spec (``sweep_mode="spec"``) and a hypothesis property class proves
-the grouped path bit-identical across random wave/pull schedules.
+dance.  The original per-client loop lives on as a test reference
+(``tests/reference/fleet.py``), and a hypothesis property class proves
+the grouped sweep bit-identical to it across random wave/pull schedules.
 
 Process fan-out: :func:`run_fleet_storm_sharded` partitions the AS
 space across worker processes with :mod:`repro.runner` — shards are
@@ -123,8 +123,8 @@ class _PlaneGroup:
         self.unconverged = n_clients
         self.converged_at: Optional[float] = None
         # Convergence-curve events: (sim time, clients converged so far)
-        # recorded at service-tick granularity — identical across sweep
-        # modes because it samples end-of-tick state, not sweep order.
+        # recorded at service-tick granularity — it samples end-of-tick
+        # state, not sweep order, so any sweep order records the same.
         self.curve: List[Tuple[float, int]] = []
         self.last_converged = 0
 
@@ -385,7 +385,6 @@ class ClientCohort:
         reporter_fraction: float = 0.01,
         pull_interval: float = 600.0,
         tick: Optional[float] = None,
-        sweep_mode: str = "grouped",
         planes: Optional[Sequence] = None,
     ):
         if clients_per_as < 1:
@@ -394,16 +393,6 @@ class ClientCohort:
             raise ValueError(
                 f"reporter_fraction must be in (0,1]: {reporter_fraction!r}"
             )
-        if sweep_mode not in ("grouped", "spec"):
-            raise ValueError(f"unknown sweep_mode: {sweep_mode!r}")
-        self.sweep_mode = sweep_mode
-        # The plain function, not a bound method: storing
-        # self._service_pulls_grouped on self is a reference cycle.
-        self._service_pulls = (
-            ClientCohort._service_pulls_grouped
-            if sweep_mode == "grouped"
-            else ClientCohort._service_pulls_spec
-        )
         self.server = server
         self.seed = seed
         # The measurement-plane mix: MeasurementPlane instances or spec
@@ -605,72 +594,9 @@ class ClientCohort:
             # converged (the overall target; per-plane targets above).
             st.target_version = server.version_for_as(st.asn)
 
-    def _service_pulls_spec(self, st: CohortAs, now: float) -> None:
-        """Serve every client whose periodic pull came due, one at a time.
-
-        Clients due in the same sweep that share a since-version also
-        share one server-built :class:`SyncBatch` — the columnar format
-        makes the share free (immutable parallel tuples).
-
-        This per-client loop is the *executable spec* for the grouped
-        sweep below: hypothesis property tests drive both through random
-        wave/pull schedules and demand bit-identical metrics and
-        per-client arrays.  It intentionally keeps the O(population)
-        shape (per-client batch lookups, wire-size property calls) the
-        fleet layer shipped with before hot-path round 4.
-        """
-        server, metrics = self.server, self.metrics
-        order, next_pull = st.pull_order, st.next_pull_at
-        versions = st.versions
-        batch_cache: Dict[int, object] = {}
-        n = st.n
-        served = 0
-        while served < n:
-            i = order[st.pull_ptr % n]
-            if next_pull[i] > now:
-                break
-            since = versions[i]
-            batch = batch_cache.get(since)
-            if batch is None:
-                batch = server.sync_batch_for_as(
-                    st.asn, now,
-                    since_version=None if since < 0 else since,
-                )
-                batch_cache[since] = batch
-                metrics.batches_built += 1
-            versions[i] = batch.version
-            rows = batch.transferred
-            if rows:
-                st.rows_received[i] += rows
-                st.bytes_received[i] += batch.wire_bytes
-                metrics.sync_rows += rows
-                metrics.sync_bytes += batch.wire_bytes
-            else:
-                metrics.sync_bytes += SYNC_HEADER_BYTES  # empty delta
-            next_pull[i] += self.pull_interval
-            st.pulls += 1
-            metrics.pulls_served += 1
-            st.pull_ptr += 1
-            served += 1
-            if (
-                st.target_version is not None
-                and st.unconverged
-                and since < st.target_version <= batch.version
-            ):
-                st.unconverged -= 1
-                if st.unconverged == 0 and st.wave_started_at is not None:
-                    st.converged_at = now
-            for group in st.groups:
-                gt = group.target_version
-                if (
-                    gt is not None
-                    and group.unconverged
-                    and since < gt <= batch.version
-                ):
-                    group.unconverged -= 1
-
-    def _service_pulls_grouped(self, st: CohortAs, now: float) -> None:
-        """Group-applied sweep: the spec above in O(distinct versions).
+    def _service_pulls(self, st: CohortAs, now: float) -> None:
+        """Serve every client whose periodic pull came due, applied per
+        group in O(distinct since-versions).
 
         Because offsets are rank-sorted, the clients due this sweep are
         one contiguous cyclic rank range starting at ``pull_ptr``.
@@ -681,8 +607,8 @@ class ClientCohort:
         (batch build, wire-size accounting, convergence comparison)
         happens once per run instead of once per client.  Batches are
         still deduplicated per distinct since-version across the whole
-        sweep, so ``batches_built`` matches the spec exactly even if a
-        wrap-around splits a version run in two.
+        sweep, so ``batches_built`` counts one build per since-version
+        even if a wrap-around splits a version run in two.
         """
         next_pull = st.next_pull_at
         n = st.n
@@ -782,7 +708,7 @@ class ClientCohort:
     def service(self, now: float) -> None:
         """One sweep over every AS: due reports, then due pulls, then
         end-of-tick per-plane convergence bookkeeping (tick-granular, so
-        it cannot differ between sweep modes)."""
+        it does not depend on the order the sweep serves clients in)."""
         for st in self.shards:
             groups = st.groups
             if groups:
@@ -790,7 +716,7 @@ class ClientCohort:
                     if group.report_ptr < len(group.report_order):
                         self._post_due_reports(st, now)
                         break
-            self._service_pulls(self, st, now)
+            self._service_pulls(st, now)
             if groups:
                 n = st.n
                 for group in groups:
@@ -864,7 +790,6 @@ def run_fleet_storm(
     wave_at: float = 300.0,
     horizon: Optional[float] = None,
     asn_base: int = 40000,
-    sweep_mode: str = "grouped",
     planes: Optional[Sequence] = None,
     wave_stagger: float = 0.0,
     server: Optional[ServerDB] = None,
@@ -891,7 +816,6 @@ def run_fleet_storm(
         seed=seed,
         reporter_fraction=reporter_fraction,
         pull_interval=pull_interval,
-        sweep_mode=sweep_mode,
         planes=planes,
     )
 

@@ -18,7 +18,7 @@ from ..simnet.flow import FlowContext
 from ..simnet.world import World
 from ..urlkit import base_url, normalize_url
 from .config import CSawConfig
-from .globaldb import GlobalEntry, ServerDB, SyncBatch, SyncResult
+from .globaldb import GlobalEntry, ServerDB, SyncBatch
 from .localdb import LocalDatabase
 
 __all__ = ["GlobalView", "ReportingService", "ensure_collector"]
@@ -63,28 +63,13 @@ class GlobalView:
         when we have never synced this AS — e.g. right after mobility."""
         return self.version if self.synced_asn == asn else None
 
-    def apply_sync(self, result: SyncResult, now: float) -> None:
-        """Fold one :class:`SyncResult` into the cached view."""
-        if result.full:
-            self._entries = {entry.url: entry for entry in result.entries}
-        else:
-            for url in result.removed:
-                self._entries.pop(url, None)
-            for entry in result.entries:
-                self._entries[entry.url] = entry
-        self.version = result.version
-        self.synced_asn = result.asn
-        self.last_synced = now
-
     def apply_batch(self, batch: SyncBatch, now: float) -> None:
         """Fold one columnar :class:`SyncBatch` into the cached view.
 
-        Bit-identical to :meth:`apply_sync` on the equivalent
-        :class:`SyncResult` (the property tests enforce it).  The view
-        stores the batch's :attr:`~SyncBatch.decoded` rows themselves:
-        every view that applies one (cached, shared) batch holds the
-        same read-only entry objects, decoded once per batch rather than
-        once per pull.  Rows are replaced, never mutated, by later
+        The view stores the batch's :attr:`~SyncBatch.decoded` rows
+        themselves: every view that applies one (cached, shared) batch
+        holds the same read-only entry objects, decoded once per batch
+        rather than once per pull.  Rows are replaced, never mutated, by later
         pulls, so one view's delta cannot change another view.
         """
         rows = zip(batch.urls, batch.decoded)
@@ -224,27 +209,14 @@ class ReportingService:
             return 0
         now = self.world.env.now
         asn = self.local_db.asn
-        since = self.global_view.since_version(asn)
-        if self.config.sync_wire_format == "columnar":
-            batch = self.server.sync_batch_for_as(
-                asn,
-                now,
-                since_version=since,
-                min_reporters=self.min_reporters,
-                min_votes=self.min_votes,
-            )
-            self.global_view.apply_batch(batch, now)
-            received = len(batch.urls)
-        else:
-            batch = self.server.sync_for_as(
-                asn,
-                now,
-                since_version=since,
-                min_reporters=self.min_reporters,
-                min_votes=self.min_votes,
-            )
-            self.global_view.apply_sync(batch, now)
-            received = len(batch.entries)
+        batch = self.server.sync_batch_for_as(
+            asn,
+            now,
+            since_version=self.global_view.since_version(asn),
+            min_reporters=self.min_reporters,
+            min_votes=self.min_votes,
+        )
+        self.global_view.apply_batch(batch, now)
         self.downloads += 1
         if batch.full:
             self.full_syncs += 1
@@ -252,7 +224,7 @@ class ReportingService:
             self.delta_syncs += 1
         self.sync_rows_received += batch.transferred
         self.sync_bytes_received += batch.wire_bytes
-        return received
+        return len(batch.urls)
 
     def run_periodic(self, ctx: FlowContext, until: float) -> Generator:
         """Background process: report + download loops until ``until``."""

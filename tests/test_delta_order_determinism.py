@@ -31,6 +31,7 @@ _DELTA = r"""
 import json
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
+from tests.reference.sync import sync_for_as
 
 ASN = 7
 db = ServerDB(entry_ttl=None)
@@ -50,7 +51,7 @@ db.post_update(second, [item("http://site5.example/"),
 db.post_dissent(first, "http://site6.example/", ASN, now=4.0)
 db.post_dissent(first, "http://site2.example/", ASN, now=4.0)
 batch = db.sync_batch_for_as(ASN, 5.0, since_version=since)
-rows = db.sync_for_as(ASN, 5.0, since_version=since)
+rows = sync_for_as(db, ASN, 5.0, since_version=since)
 print(json.dumps({
     "batch": [list(batch.urls), list(batch.removed)],
     "rows": [[e.url for e in rows.entries], list(rows.removed)],

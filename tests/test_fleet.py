@@ -16,13 +16,14 @@ from repro.core.fleet import (
 )
 from repro.core.globaldb import ServerDB
 from repro.simnet.engine import Environment
+from tests.reference.fleet import run_spec_fleet_storm
 
 
-def small_storm(**overrides):
+def small_storm(storm=run_fleet_storm, **overrides):
     kwargs = dict(seed=7, n_ases=4, clients_per_as=60, urls_per_as=5,
                   reporter_fraction=0.05)
     kwargs.update(overrides)
-    return run_fleet_storm(**kwargs)
+    return storm(**kwargs)
 
 
 class TestFleetStorm:
@@ -86,16 +87,11 @@ class TestFleetStorm:
         )
         assert any(v > 0 for v in metrics.pending_by_as.values())
 
-    def test_sweep_modes_agree_and_validate(self):
+    def test_grouped_sweep_agrees_with_spec(self):
         grouped = small_storm()
-        spec = small_storm(sweep_mode="spec")
+        spec = small_storm(run_spec_fleet_storm)
         assert grouped.summary() == spec.summary()
         assert grouped.convergence_by_as == spec.convergence_by_as
-        with pytest.raises(ValueError):
-            ClientCohort(
-                ServerDB(entry_ttl=None), asns=[1], clients_per_as=5,
-                seed=0, sweep_mode="bogus",
-            )
 
     def test_no_wave_no_convergence_entry(self):
         server = ServerDB(entry_ttl=None)

@@ -55,11 +55,9 @@ def test_scenario_pack(pack):
     assert cyclic_garbage(run) == 0
 
 
-@pytest.mark.parametrize("sweep_mode", ["grouped", "spec"])
-def test_fleet_storm(sweep_mode):
+def test_fleet_storm():
     def storm():
-        run_fleet_storm(seed=4, n_ases=3, clients_per_as=50, urls_per_as=5,
-                        sweep_mode=sweep_mode)
+        run_fleet_storm(seed=4, n_ases=3, clients_per_as=50, urls_per_as=5)
 
     assert cyclic_garbage(storm) == 0
 

@@ -4,11 +4,12 @@ Four layers under test (ISSUE 10):
 
 - the golden fingerprint: the plane-backed fleet reporter path is
   bit-identical to the pre-refactor pipeline for the single-C-Saw-plane
-  case, in both sweep modes (``tests/data/plane_golden.json``);
+  case, under the shipped sweep and the per-client reference sweep
+  (``tests/data/plane_golden.json``);
 - the plane abstraction itself: profiles, the registry, reporter
   sampling, per-plane wave items;
 - mixed-plane storms: provenance counters, per-plane convergence,
-  grouped/spec sweep equivalence, sharding-style metric merges;
+  equivalence with the reference sweep, sharding-style metric merges;
 - per-plane voting: the dormant ledger is the pre-plane ledger, active
   per-plane histograms partition the aggregate, and the weighted
   criterion degenerates to today's unweighted one.
@@ -32,6 +33,8 @@ from repro.planes import (
     PLANE_KINDS,
     build_plane,
 )
+from tests.reference.fleet import run_spec_fleet_storm
+from tests.reference.voting import recompute_plane_stats, recompute_stats
 
 MIX = (
     {"kind": "csaw", "fraction": 0.04},
@@ -40,7 +43,7 @@ MIX = (
 )
 
 
-def mixed_storm(sweep_mode="grouped", seed=11, server=None, **overrides):
+def mixed_storm(storm=run_fleet_storm, seed=11, server=None, **overrides):
     kwargs = dict(
         seed=seed,
         n_ases=4,
@@ -49,12 +52,11 @@ def mixed_storm(sweep_mode="grouped", seed=11, server=None, **overrides):
         pull_interval=600.0,
         wave_at=300.0,
         asn_base=52000,
-        sweep_mode=sweep_mode,
         planes=[dict(spec) for spec in MIX],
         server=server,
     )
     kwargs.update(overrides)
-    return run_fleet_storm(**kwargs)
+    return storm(**kwargs)
 
 
 class TestGoldenFingerprint:
@@ -199,8 +201,8 @@ class TestMixedPlaneStorm:
         }
 
     def test_grouped_and_spec_sweeps_agree_on_mixed_storms(self):
-        grouped = mixed_storm("grouped")
-        spec = mixed_storm("spec")
+        grouped = mixed_storm()
+        spec = mixed_storm(run_spec_fleet_storm)
         assert grouped.summary() == spec.summary()
         assert grouped.reports_by_plane == spec.reports_by_plane
         assert grouped.convergence_by_plane == spec.convergence_by_plane
@@ -398,7 +400,7 @@ class TestPlaneLedgerProperties:
         self.apply(plain, ops, with_planes=False)
         for url in URLS:
             assert tracked.stats(url, 1) == plain.stats(url, 1)
-            assert tracked.recompute_stats(url, 1) == tracked.stats(url, 1)
+            assert recompute_stats(tracked, url, 1) == tracked.stats(url, 1)
 
     @given(ops=ledger_ops)
     @settings(max_examples=60, deadline=None)
@@ -426,7 +428,7 @@ class TestPlaneLedgerProperties:
         for url in URLS:
             for plane in PLANE_NAMES:
                 incremental = ledger.stats_for_plane(url, 1, plane)
-                reference = ledger.recompute_plane_stats(url, 1, plane)
+                reference = recompute_plane_stats(ledger, url, 1, plane)
                 assert incremental == reference, (url, plane)
 
 

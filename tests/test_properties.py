@@ -268,16 +268,23 @@ class TestLocalDbProperties:
 
 
 class TestSyncWireFormatProperties:
-    """The columnar batch path is an optimization of the row path —
-    hypothesis drives both through the same random post/dissent/pull
-    interleavings and demands bit-identical client state after every
-    pull (acceptance for the delta-sync wire format)."""
+    """The shipped columnar pull against two oracles.  Hypothesis drives
+    random post/dissent/revoke/pull interleavings under a random
+    confidence criterion and entry TTL, and after every pull demands
 
-    # (op, client index, url index, asn offset): op 0-2 posts, 3 dissents,
-    # 4 pulls on both views.
+    - that the batch-fed view holds exactly the server's own answer,
+      ``blocked_for_as(asn, now, criterion)`` (a pulled view equals the
+      blocked list at the pulled version);
+    - bit-identical client state to the row-object reference path in
+      ``tests/reference/sync.py``, with equal per-pull ``transferred``.
+    """
+
+    # (op, client index, url index, asn offset): op 0-2 posts, 3
+    # dissents, 4 pulls on both views, 5 revokes the client (its slot
+    # re-registers under a fresh identity).
     ops = st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=5),
             st.integers(min_value=0, max_value=3),
             st.integers(min_value=0, max_value=7),
             st.integers(min_value=0, max_value=1),
@@ -286,26 +293,57 @@ class TestSyncWireFormatProperties:
     )
 
     @staticmethod
-    def _state(view):
+    def _row(entry):
+        return (entry.url, entry.asn, tuple(entry.stages), entry.measured_at,
+                entry.posted_at, entry.first_measured_at, entry.last_uuid)
+
+    @classmethod
+    def _state(cls, view):
         return (
             view.version,
             view.synced_asn,
-            [
-                (e.url, e.asn, tuple(e.stages), e.measured_at,
-                 e.posted_at, e.first_measured_at, e.last_uuid)
-                for e in view._entries.values()
-            ],
+            [cls._row(e) for e in view._entries.values()],
         )
 
-    @given(ops)
+    @given(
+        operations=ops,
+        min_reporters=st.sampled_from([1, 2]),
+        min_votes=st.sampled_from([0.0, 0.4]),
+        entry_ttl=st.sampled_from([None, 30.0]),
+    )
     @settings(max_examples=60)
-    def test_batch_and_row_merges_identical(self, operations):
+    def test_batch_and_row_merges_identical(
+        self, operations, min_reporters, min_votes, entry_ttl
+    ):
         from repro.core.reporting import GlobalView
+        from tests.reference.sync import apply_sync, sync_for_as
 
-        server = ServerDB(entry_ttl=None)
+        criterion = dict(min_reporters=min_reporters, min_votes=min_votes)
+        server = ServerDB(entry_ttl=entry_ttl)
         uuids = [server.register(now=float(i)) for i in range(4)]
         row_views = {1: GlobalView(), 2: GlobalView()}
         batch_views = {1: GlobalView(), 2: GlobalView()}
+
+        def pull(asn, now):
+            rows, batches = row_views[asn], batch_views[asn]
+            result = sync_for_as(
+                server, asn, now, since_version=rows.since_version(asn),
+                **criterion,
+            )
+            apply_sync(rows, result, now)
+            batch = server.sync_batch_for_as(
+                asn, now, since_version=batches.since_version(asn),
+                **criterion,
+            )
+            batches.apply_batch(batch, now)
+            assert batch.transferred == result.transferred
+            assert self._state(batches) == self._state(rows)
+            served = server.blocked_for_as(asn, now, **criterion)
+            assert {
+                url: self._row(entry)
+                for url, entry in batches._entries.items()
+            } == {entry.url: self._row(entry) for entry in served}
+
         now = 10.0
         for op, client_index, url_index, asn_offset in operations:
             now += 1.0
@@ -324,52 +362,32 @@ class TestSyncWireFormatProperties:
                 )
             elif op == 3:
                 server.post_dissent(uuids[client_index], url, asn, now=now)
+            elif op == 4:
+                pull(asn, now)
             else:
-                rows, batches = row_views[asn], batch_views[asn]
-                result = server.sync_for_as(
-                    asn, now, since_version=rows.since_version(asn)
-                )
-                rows.apply_sync(result, now)
-                batch = server.sync_batch_for_as(
-                    asn, now, since_version=batches.since_version(asn)
-                )
-                batch_views[asn].apply_batch(batch, now)
-                assert batch.transferred == result.transferred
+                server.revoke(uuids[client_index])
+                uuids[client_index] = server.register(now=now)
         now += 1.0
         for asn in (1, 2):
             # One final pull so both views see the terminal server state.
-            rows, batches = row_views[asn], batch_views[asn]
-            rows.apply_sync(
-                server.sync_for_as(
-                    asn, now, since_version=rows.since_version(asn)
-                ),
-                now,
-            )
-            batches.apply_batch(
-                server.sync_batch_for_as(
-                    asn, now, since_version=batches.since_version(asn)
-                ),
-                now,
-            )
-            assert self._state(batches) == self._state(rows)
+            pull(asn, now)
 
 
 class TestGroupedSweepProperties:
     """The group-applied fleet pull sweep is an optimization of the
-    retained per-client spec loop — hypothesis drives both through
-    random cohort shapes and wave/pull schedules and demands the same
-    :class:`FleetMetrics`, the same per-client record arrays, and the
-    same server-side serve counters (acceptance for hot-path round 4).
+    per-client reference loop (``tests/reference/fleet.py``) — hypothesis
+    drives both through random cohort shapes and wave/pull schedules and
+    demands the same :class:`FleetMetrics`, the same per-client record
+    arrays, and the same server-side serve counters (acceptance for
+    hot-path round 4).
     """
 
     @staticmethod
-    def _storm(sweep_mode, seed, n_ases, clients, urls, frac, interval,
+    def _storm(cohort_cls, seed, n_ases, clients, urls, frac, interval,
                tick_div, wave_at, horizon_intervals):
-        from repro.core.fleet import ClientCohort
-
         server = ServerDB(entry_ttl=None)
         env = Environment()
-        cohort = ClientCohort(
+        cohort = cohort_cls(
             server,
             asns=[41000 + i for i in range(n_ases)],
             clients_per_as=clients,
@@ -377,7 +395,6 @@ class TestGroupedSweepProperties:
             reporter_fraction=frac,
             pull_interval=interval,
             tick=interval / tick_div,
-            sweep_mode=sweep_mode,
         )
 
         def driver():
@@ -409,8 +426,11 @@ class TestGroupedSweepProperties:
     ):
         args = (seed, n_ases, clients, urls, frac, interval, tick_div,
                 wave_frac * interval, horizon_intervals)
-        spec = self._storm("spec", *args)
-        grouped = self._storm("grouped", *args)
+        from repro.core.fleet import ClientCohort
+        from tests.reference.fleet import SpecCohort
+
+        spec = self._storm(SpecCohort, *args)
+        grouped = self._storm(ClientCohort, *args)
         g_summary, s_summary = grouped.metrics.summary(), spec.metrics.summary()
         assert g_summary.keys() == s_summary.keys()
         for name in s_summary:
