@@ -27,15 +27,18 @@ from repro.core import (
 )
 from repro.core.records import BlockType
 from repro.runner import TrialSpec, merge_values, run_trials
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 # --- 1. selective redundancy -------------------------------------------------
 
 def run_selective_redundancy():
-    scenario = pakistan_case_study(seed=601, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=601, with_proxy_fleet=False)
+    )
     world = scenario.world
-    url = scenario.urls["small-unblocked"]
+    url = scenario.spec.urls["small-unblocked"]
 
     def browse(client, forget):
         plts = []
@@ -52,11 +55,11 @@ def run_selective_redundancy():
         return plts[1:]
 
     selective = CSawClient(
-        world, "ab1-selective", [scenario.isp_a],
+        world, "ab1-selective", [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("ab1-selective", include=["tor"]),
     )
     always = CSawClient(
-        world, "ab1-always", [scenario.isp_a],
+        world, "ab1-always", [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("ab1-always", include=["tor"]),
     )
     return {
@@ -83,11 +86,13 @@ def test_ablation_selective_redundancy(benchmark, report):
 
 def _exploration_arm(explore_n):
     """One independent arm: fresh scenario, one exploration setting."""
-    scenario = pakistan_case_study(seed=602, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=602, with_proxy_fleet=False)
+    )
     world = scenario.world
-    url = scenario.urls["youtube"]
+    url = scenario.spec.urls["youtube"]
     client = CSawClient(
-        world, f"ab2-{explore_n}", [scenario.isp_b],
+        world, f"ab2-{explore_n}", [scenario.isps[ISP_B_ASN]],
         transports=scenario.make_transports(
             f"ab2-{explore_n}", include=["tor", "lantern"]
         ),
@@ -150,25 +155,27 @@ def test_ablation_exploration(benchmark, report):
 
 def _multihoming_arm(pin):
     """One independent arm: fresh scenario, pinning on or off."""
-    scenario = pakistan_case_study(seed=603, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=603, with_proxy_fleet=False)
+    )
     world = scenario.world
     url = "http://only-a.example.com/"
     world.web.add_site("only-a.example.com", location="us-east")
     world.web.add_page(url, size_bytes=120_000)
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    policy = world.network.ases[ISP_A_ASN].censor.policy
     policy.add_rule(
         Rule(
             matcher=Matcher(domains={"only-a.example.com"}),
             http=HttpVerdict(
                 HttpAction.BLOCKPAGE_REDIRECT,
-                blockpage_ip=scenario.blockpage_a.ip,
+                blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
             ),
         )
     )
     # Relay-only transports: a local fix would ride the direct path
     # through either provider and mask the oscillation entirely.
     client = CSawClient(
-        world, f"ab3-{pin}", [scenario.isp_a, scenario.isp_b],
+        world, f"ab3-{pin}", [scenario.isps[ISP_A_ASN], scenario.isps[ISP_B_ASN]],
         transports=scenario.make_transports(
             f"ab3-{pin}", include=["tor", "lantern"]
         ),

@@ -30,21 +30,24 @@ from repro.censor.actions import (
 )
 from repro.censor.policy import Matcher, Rule
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import FRONT, YOUTUBE, pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import FRONT, ISP_A_ASN, YOUTUBE
 
 ACCESSES_PER_ROUND = 8
 
 
 def run_experiment():
-    scenario = pakistan_case_study(seed=808, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=808, with_proxy_fleet=False)
+    )
     world = scenario.world
-    url = scenario.urls["youtube"]
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    url = scenario.spec.urls["youtube"]
+    policy = world.network.ases[ISP_A_ASN].censor.policy
     # Start from a clean slate for YouTube on ISP-A.
     policy.remove_rules("youtube")
 
     client = CSawClient(
-        world, "arms-race", [scenario.isp_a],
+        world, "arms-race", [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("arms-race"),
         config=CSawConfig(record_ttl=10 * 24 * 3600.0, probe_probability=0.0),
     )
@@ -58,7 +61,7 @@ def run_experiment():
                 matcher=Matcher(domains={"youtube.com"}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
                 label="race-0",
             ),

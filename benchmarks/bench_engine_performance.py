@@ -15,7 +15,11 @@ from repro.censor.actions import DnsAction, DnsVerdict
 from repro.censor.policy import CensorPolicy, Matcher, Rule
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
-from record_engine_bench import run_spawn_join_storm, run_timer_storm
+from record_engine_bench import (
+    run_session_request_storm,
+    run_spawn_join_storm,
+    run_timer_storm,
+)
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -119,46 +123,10 @@ def test_globaldb_delta_sync_throughput(benchmark):
     assert benchmark(pulls) == 0
 
 
-def run_session_request_storm(rounds=10):
-    """The full request path: session dispatch, Figure-4 detection,
-    circumvention, redundancy, and per-stage trace emission."""
-    from repro.core import CSawClient
-    from repro.core.config import CSawConfig
-    from repro.workloads.scenarios import pakistan_case_study
-
-    scenario = pakistan_case_study(seed=5, with_proxy_fleet=False)
-    world = scenario.world
-    client = CSawClient(
-        world,
-        "bench",
-        [scenario.isp_a],
-        transports=scenario.make_transports("bench"),
-        config=CSawConfig(probe_probability=0.0),
-    )
-    urls = [
-        scenario.urls["small-unblocked"],
-        scenario.urls["youtube"],
-        scenario.urls["table5/tcp-ip"],
-    ]
-    responses = []
-
-    def storm():
-        for _ in range(rounds):
-            for url in urls:
-                response = yield from client.request(url)
-                yield response.measurement_process
-                responses.append(response)
-        return len(responses)
-
-    served = world.run_process(storm())
-    assert served == rounds * len(urls)
-    return responses
-
-
 def test_session_request_throughput(benchmark):
     """End-to-end request path with tracing on — every served response
     must carry a non-empty, monotonically stamped stage trace."""
-    responses = benchmark(run_session_request_storm)
+    responses = benchmark(run_session_request_storm, rounds=10)
     assert responses
     for response in responses:
         trace = response.trace

@@ -13,7 +13,8 @@ import pytest
 from conftest import run_once
 from repro.analysis import percentile, render_table, summarize
 from repro.circumvent import DomainFrontingTransport, HttpsTransport, IpAsHostnameTransport
-from repro.workloads.scenarios import FRONT, pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import FRONT, ISP_A_ASN, ISP_B_ASN
 
 RUNS = 200
 
@@ -37,49 +38,56 @@ def collect_plts(scenario, transport, isp, url, runs=RUNS, stream="fig1"):
 
 
 def run_fig1a():
-    scenario = pakistan_case_study(seed=101)
-    url = scenario.urls["youtube"]
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=101))
+    url = scenario.spec.urls["youtube"]
     series = {
         "HTTPS/DF": collect_plts(
-            scenario, DomainFrontingTransport(FRONT), scenario.isp_b, url,
+            scenario, DomainFrontingTransport(FRONT), scenario.isps[ISP_B_ASN], url,
             stream="a-df",
         )
     }
-    for proxy in scenario.proxy_transports:
+    for proxy in scenario.proxies:
         label = proxy.proxy_host.tags["label"]
         series[label] = collect_plts(
-            scenario, proxy, scenario.isp_b, url, stream=f"a-{label}"
+            scenario, proxy, scenario.isps[ISP_B_ASN], url, stream=f"a-{label}"
         )
     return series
 
 
 def run_fig1b():
-    scenario = pakistan_case_study(seed=102, with_proxy_fleet=False)
-    url = scenario.urls["youtube"]
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=102, with_proxy_fleet=False)
+    )
+    url = scenario.spec.urls["youtube"]
     series = {
         "HTTPS": collect_plts(
-            scenario, HttpsTransport(), scenario.isp_a, url, stream="b-https"
+            scenario, HttpsTransport(), scenario.isps[ISP_A_ASN], url, stream="b-https"
         )
     }
     for location in ("germany", "netherlands", "france", "us-east", "japan"):
-        tor = scenario.tor_transport(f"fig1b-{location}",
-                                     tor_exit_location=location,
-                                     tor_rotation=600.0)
+        tor = scenario.make_transports(
+            f"fig1b-{location}", include=["tor"],
+            tor_exit_location=location, tor_rotation=600.0,
+        )[0]
         series[f"Tor (exit {location})"] = collect_plts(
-            scenario, tor, scenario.isp_a, url, stream=f"b-{location}"
+            scenario, tor, scenario.isps[ISP_A_ASN], url, stream=f"b-{location}"
         )
     return series
 
 
 def run_fig1c():
-    scenario = pakistan_case_study(seed=103, with_proxy_fleet=False)
-    url = scenario.urls["porn"]
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=103, with_proxy_fleet=False)
+    )
+    url = scenario.spec.urls["porn"]
     return {
         "IP as hostname": collect_plts(
-            scenario, IpAsHostnameTransport(), scenario.isp_a, url, stream="c-ip"
+            scenario, IpAsHostnameTransport(), scenario.isps[ISP_A_ASN], url,
+            stream="c-ip",
         ),
         "Lantern": collect_plts(
-            scenario, scenario.lantern_transport("fig1c"), scenario.isp_a, url,
+            scenario, scenario.make_transports("fig1c", include=["lantern"])[0],
+            scenario.isps[ISP_A_ASN], url,
             stream="c-lantern",
         ),
     }

@@ -26,7 +26,8 @@ from repro.censor.actions import (
 from repro.censor.policy import Matcher, Rule
 from repro.core import CSawClient, CSawConfig
 from repro.runner import TrialSpec, merge_values, run_trials
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 # Figure 5a page sizes per blocking type (from the figure's annotations).
 FIG5A_PAGES = {
@@ -40,9 +41,11 @@ FIG5BC_REQUESTS = 100
 
 
 def build_fig5a_world():
-    scenario = pakistan_case_study(seed=201, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=201, with_proxy_fleet=False)
+    )
     world = scenario.world
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    policy = world.network.ases[ISP_A_ASN].censor.policy
     urls = {}
     for key, size in FIG5A_PAGES.items():
         hostname = f"fig5a-{key.replace('+', '-')}.example.com"
@@ -71,7 +74,7 @@ def build_fig5a_world():
                 matcher=Matcher(domains={hostname}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
             )
         policy.add_rule(rule)
@@ -87,7 +90,7 @@ def run_fig5a():
             client = CSawClient(
                 world,
                 f"f5a-{mode}-{key}",
-                [scenario.isp_a],
+                [scenario.isps[ISP_A_ASN]],
                 # rotation 0: a fresh circuit per fetch, so both modes
                 # average over circuit quality instead of riding one draw.
                 transports=scenario.make_transports(
@@ -154,7 +157,9 @@ _FIG5BC_MODES = {
 def _fig5bc_arm(size_key, label, mode_index, config_kwargs):
     """One redundancy mode on its own fresh scenario (same seed, so all
     modes see identical topology/web state and differ only in config)."""
-    scenario = pakistan_case_study(seed=202, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=202, with_proxy_fleet=False)
+    )
     world = scenario.world
     hostname = f"fig5-{size_key}.example.com"
     size = 95_000 if size_key == "small" else 316_000
@@ -171,7 +176,7 @@ def _fig5bc_arm(size_key, label, mode_index, config_kwargs):
     client = CSawClient(
         world,
         f"f5bc-{size_key}-mode{mode_index}",
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports(
             f"f5bc-{size_key}-{label}", include=["tor"]
         ),

@@ -16,16 +16,19 @@ from repro.analysis import percentile, render_table
 from repro.circumvent import TorTransport
 from repro.core import BlockStatus, LocalDatabase
 from repro.workloads.corpus import build_corpus
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import CLEAN_ASN
 
 RUNS_6A = 120
 
 
 def run_fig6a():
-    scenario = pakistan_case_study(seed=301, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=301, with_proxy_fleet=False)
+    )
     world = scenario.world
-    url = scenario.urls["youtube"]
-    client, access = world.add_client("fig6a-client", [scenario.isp_clean])
+    url = scenario.spec.urls["youtube"]
+    client, access = world.add_client("fig6a-client", [scenario.isps[CLEAN_ASN]])
     series = {}
     for copies in (1, 2, 3):
         transport = TorTransport(

@@ -19,15 +19,18 @@ from repro.censor.actions import DnsAction, DnsVerdict, HttpAction, HttpVerdict,
 from repro.censor.policy import Matcher, Rule
 from repro.circumvent import LanternSystem, TorTransport
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 RUNS = 60
 
 
 def build_world():
-    scenario = pakistan_case_study(seed=501, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=501, with_proxy_fleet=False)
+    )
     world = scenario.world
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    policy = world.network.ases[ISP_A_ASN].censor.policy
 
     # (a) resolver-based DNS blocking: public DNS is the perfect fix.
     world.web.add_site("f7-dnsblocked.example.com", location="us-east")
@@ -57,7 +60,7 @@ def csaw_series(scenario, name, url, include, runs=RUNS):
     client = CSawClient(
         world,
         name,
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports(name, include=include),
         config=CSawConfig(probe_probability=0.1),
     )
@@ -75,9 +78,9 @@ def csaw_series(scenario, name, url, include, runs=RUNS):
 
 def lantern_series(scenario, name, url, runs=RUNS):
     world = scenario.world
-    client, access = world.add_client(name, [scenario.isp_a])
+    client, access = world.add_client(name, [scenario.isps[ISP_A_ASN]])
     system = LanternSystem(
-        scenario.lantern_transport(name), proxy_all=False
+        scenario.make_transports(name, include=["lantern"])[0], proxy_all=False
     )
     plts = []
 
@@ -94,8 +97,8 @@ def lantern_series(scenario, name, url, runs=RUNS):
 
 def tor_series(scenario, name, url, runs=RUNS):
     world = scenario.world
-    client, access = world.add_client(name, [scenario.isp_a])
-    transport = scenario.tor_transport(name, tor_rotation=120.0)
+    client, access = world.add_client(name, [scenario.isps[ISP_A_ASN]])
+    transport = scenario.make_transports(name, include=["tor"], tor_rotation=120.0)[0]
     plts = []
 
     def one():
@@ -151,13 +154,14 @@ def test_fig7a_blocked_page_dns_blocking(benchmark, report):
 def test_fig7b_unblocked_page(benchmark, report):
     def experiment():
         scenario = build_world()
-        url = scenario.urls["small-unblocked"]
+        url = scenario.spec.urls["small-unblocked"]
         # §7.3 operates Lantern as a full proxy (Figure 7b shows it
         # relaying unblocked pages too).
         world = scenario.world
-        client, access = world.add_client("f7b-lantern", [scenario.isp_a])
+        client, access = world.add_client("f7b-lantern", [scenario.isps[ISP_A_ASN]])
         lantern = LanternSystem(
-            scenario.lantern_transport("f7b-lantern"), proxy_all=True
+            scenario.make_transports("f7b-lantern", include=["lantern"])[0],
+            proxy_all=True,
         )
         plts = []
 

@@ -18,7 +18,8 @@ from repro.analysis import render_table
 from repro.censor.fingerprint import FingerprintAnalyzer
 from repro.core import CSawClient, CSawConfig
 from repro.circumvent import DirectTransport
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 N_CSAW = 6
 N_PLAIN = 12
@@ -26,10 +27,10 @@ REQUESTS = 25
 
 
 def run_variant(selective: bool):
-    scenario = pakistan_case_study(seed=701 if selective else 702,
-                                   with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=701 if selective else 702,
+                                   with_proxy_fleet=False))
     world = scenario.world
-    box = world.network.ases[scenario.isp_a.asn].censor
+    box = world.network.ases[ISP_A_ASN].censor
     box.observe_traffic = True
     relay_ips = set(scenario.tor.public_relay_ips()) | {
         p.ip for p in (h for h in scenario.lantern.proxies)
@@ -37,16 +38,16 @@ def run_variant(selective: bool):
 
     # A mixed workload: mostly unblocked pages, occasionally blocked ones.
     urls = [
-        scenario.urls["small-unblocked"],
-        scenario.urls["large-unblocked"],
-        scenario.urls["youtube"],
+        scenario.spec.urls["small-unblocked"],
+        scenario.spec.urls["large-unblocked"],
+        scenario.spec.urls["youtube"],
     ]
 
     csaw_clients = [
         CSawClient(
             world,
             f"fpb-csaw-{index}-{selective}",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports(
                 f"fpb-csaw-{index}-{selective}", include=["tor", "lantern"]
             ),
@@ -55,7 +56,7 @@ def run_variant(selective: bool):
         for index in range(N_CSAW)
     ]
     plain = [
-        world.add_client(f"fpb-plain-{index}-{selective}", [scenario.isp_a])
+        world.add_client(f"fpb-plain-{index}-{selective}", [scenario.isps[ISP_A_ASN]])
         for index in range(N_PLAIN)
     ]
     direct = DirectTransport()

@@ -18,19 +18,22 @@ from repro.censor.actions import DnsAction, DnsVerdict
 from repro.censor.policy import Matcher, Rule
 from repro.circumvent import HttpsTransport, LanternSystem
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 SEEDS = (11, 22, 33, 44, 55)
 ACCESSES = 20
 
 
 def fig7a_means(seed):
-    scenario = pakistan_case_study(seed=seed, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=seed, with_proxy_fleet=False)
+    )
     world = scenario.world
     hostname = f"rb-dnsblocked-{seed}.example.com"
     world.web.add_site(hostname, location="us-east")
     world.web.add_page(f"http://{hostname}/", size_bytes=300_000)
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    policy = world.network.ases[ISP_A_ASN].censor.policy
     policy.add_rule(
         Rule(matcher=Matcher(domains={hostname}),
              dns=DnsVerdict(DnsAction.NXDOMAIN))
@@ -38,7 +41,7 @@ def fig7a_means(seed):
     url = f"http://{hostname}/"
 
     client = CSawClient(
-        world, f"rb-csaw-{seed}", [scenario.isp_a],
+        world, f"rb-csaw-{seed}", [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports(
             f"rb-csaw-{seed}", include=["public-dns", "https", "tor"]
         ),
@@ -54,9 +57,11 @@ def fig7a_means(seed):
     world.run_process(csaw_flow())
 
     lantern_host, lantern_access = world.add_client(
-        f"rb-lantern-{seed}", [scenario.isp_a]
+        f"rb-lantern-{seed}", [scenario.isps[ISP_A_ASN]]
     )
-    lantern = LanternSystem(scenario.lantern_transport(f"rb-l-{seed}"))
+    lantern = LanternSystem(
+        scenario.make_transports(f"rb-l-{seed}", include=["lantern"])[0]
+    )
     lantern_plts = []
 
     def lantern_flow():
@@ -68,8 +73,12 @@ def fig7a_means(seed):
 
     world.run_process(lantern_flow())
 
-    tor_host, tor_access = world.add_client(f"rb-tor-{seed}", [scenario.isp_a])
-    tor = scenario.tor_transport(f"rb-tor-{seed}", tor_rotation=120.0)
+    tor_host, tor_access = world.add_client(
+        f"rb-tor-{seed}", [scenario.isps[ISP_A_ASN]]
+    )
+    tor = scenario.make_transports(
+        f"rb-tor-{seed}", include=["tor"], tor_rotation=120.0
+    )[0]
     tor_plts = []
 
     def tor_flow():
@@ -88,12 +97,16 @@ def fig7a_means(seed):
 
 
 def https_vs_tor(seed):
-    scenario = pakistan_case_study(seed=seed, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=seed, with_proxy_fleet=False)
+    )
     world = scenario.world
-    url = scenario.urls["youtube"]
-    client, access = world.add_client(f"rb2-{seed}", [scenario.isp_a])
+    url = scenario.spec.urls["youtube"]
+    client, access = world.add_client(f"rb2-{seed}", [scenario.isps[ISP_A_ASN]])
     https = HttpsTransport()
-    tor = scenario.tor_transport(f"rb2-tor-{seed}", tor_rotation=120.0)
+    tor = scenario.make_transports(
+        f"rb2-tor-{seed}", include=["tor"], tor_rotation=120.0
+    )[0]
     h_plts, t_plts = [], []
 
     def flow():

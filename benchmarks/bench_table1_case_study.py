@@ -16,7 +16,8 @@ from conftest import run_once
 from repro.analysis import render_table
 from repro.core.detection import measure_direct_path
 from repro.core.records import BlockStatus, BlockType
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 def classify(scenario, isp, url, scheme="http"):
@@ -30,16 +31,21 @@ def classify(scenario, isp, url, scheme="http"):
 
 
 def run_experiment():
-    scenario = pakistan_case_study(seed=42, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=42, with_proxy_fleet=False)
+    )
     results = {}
-    for isp_name, isp in (("ISP-A", scenario.isp_a), ("ISP-B", scenario.isp_b)):
+    for isp_name, asn in (("ISP-A", ISP_A_ASN), ("ISP-B", ISP_B_ASN)):
+        isp = scenario.isps[asn]
         results[(isp_name, "youtube")] = classify(
-            scenario, isp, scenario.urls["youtube"]
+            scenario, isp, scenario.spec.urls["youtube"]
         )
         results[(isp_name, "youtube-https")] = classify(
-            scenario, isp, scenario.urls["youtube"], scheme="https"
+            scenario, isp, scenario.spec.urls["youtube"], scheme="https"
         )
-        results[(isp_name, "rest")] = classify(scenario, isp, scenario.urls["porn"])
+        results[(isp_name, "rest")] = classify(
+            scenario, isp, scenario.spec.urls["porn"]
+        )
     return results
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import run_once
 from repro.analysis import mean, render_table
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 PAPER_LATENCIES_MS = {
     "UK": 228,
@@ -25,12 +26,12 @@ PINGS = 50
 
 
 def run_experiment():
-    scenario = pakistan_case_study(seed=7)
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=7))
     world = scenario.world
-    client, access = world.add_client("ping-client", [scenario.isp_a])
+    client, access = world.add_client("ping-client", [scenario.isps[ISP_A_ASN]])
     rng = world.rngs.stream("table2")
     measured = {}
-    for proxy in scenario.proxy_transports:
+    for proxy in scenario.proxies:
         label = proxy.proxy_host.tags["label"]
         latency = world.network.latency_between(client, proxy.proxy_host)
         samples = [

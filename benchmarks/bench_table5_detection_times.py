@@ -9,7 +9,8 @@ import pytest
 from conftest import run_once
 from repro.analysis import mean, render_table
 from repro.core.detection import measure_direct_path
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 RUNS = 50
 
@@ -30,16 +31,18 @@ TOLERANCES = {  # acceptance bands (seconds)
 
 
 def run_experiment():
-    scenario = pakistan_case_study(seed=44, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=44, with_proxy_fleet=False)
+    )
     world = scenario.world
-    client, access = world.add_client("t5-client", [scenario.isp_a])
+    client, access = world.add_client("t5-client", [scenario.isps[ISP_A_ASN]])
     averages = {}
     for key in PAPER_SECONDS:
         times = []
         for run in range(RUNS):
             ctx = world.new_ctx(client, access, stream=f"t5/{key}")
             outcome = world.run_process(
-                measure_direct_path(world, ctx, scenario.urls[f"table5/{key}"])
+                measure_direct_path(world, ctx, scenario.spec.urls[f"table5/{key}"])
             )
             assert outcome.blocked, (key, outcome)
             times.append(outcome.detection_time)

@@ -13,7 +13,8 @@ from repro.analysis import percentile, render_table
 from repro.censor.actions import IpAction, IpVerdict
 from repro.censor.policy import Matcher, Rule
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 P_VALUES = (0.0, 0.25, 0.5, 0.75)
 ACCESSES = 60
@@ -21,7 +22,9 @@ PAPER_MEDIANS = {0.0: 5.6, 0.25: 6.9, 0.5: 7.5, 0.75: 8.1}
 
 
 def run_experiment():
-    scenario = pakistan_case_study(seed=401, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=401, with_proxy_fleet=False)
+    )
     world = scenario.world
     # An IP-blackholed page: no local fix applies, Tor is the only way,
     # and every probe burns the full 21 s TCP timeout in the background.
@@ -30,7 +33,7 @@ def run_experiment():
     world.web.add_page(f"http://{hostname}/", size_bytes=360_000)
     url = f"http://{hostname}/"
     host_ip = world.network.hosts_by_name[hostname].ip
-    policy = world.network.ases[scenario.isp_a.asn].censor.policy
+    policy = world.network.ases[ISP_A_ASN].censor.policy
     policy.add_rule(
         Rule(matcher=Matcher(domains={hostname}, ips={host_ip}),
              ip=IpVerdict(IpAction.DROP))
@@ -41,7 +44,7 @@ def run_experiment():
         client = CSawClient(
             world,
             f"t6-client-p{int(p * 100)}",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports(
                 f"t6-p{int(p * 100)}", include=["tor"]
             ),

@@ -226,7 +226,8 @@ def run_voting_update_storm(n_clients=10_000, n_keys=500, reports_each=10):
 
 def run_session_request_storm(rounds=40, trace_mode=None):
     """The end-to-end request path: measurement flows, detection stages,
-    circumvention, and (post-refactor) session trace emission.  The
+    circumvention, and (post-refactor) session trace emission; returns
+    the served responses.  The
     ``before-session``/``after-session`` label pair records what full
     per-request tracing costs on this pure-python path (recorded
     interleaved — this box drifts by tens of percent across minutes, so
@@ -236,45 +237,45 @@ def run_session_request_storm(rounds=40, trace_mode=None):
     workload)."""
     from repro.core import CSawClient
     from repro.core.config import CSawConfig
-    from repro.workloads.scenarios import pakistan_case_study
+    from repro.scenarios import ScenarioCompiler, pakistan_spec
+    from repro.scenarios.library import ISP_A_ASN
 
     config_kwargs = {"probe_probability": 0.0}
     if trace_mode is not None:
         config_kwargs["trace_mode"] = trace_mode
-    scenario = pakistan_case_study(seed=5, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=5, with_proxy_fleet=False))
     world = scenario.world
     client = CSawClient(
         world,
         "bench",
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("bench"),
         config=CSawConfig(**config_kwargs),
     )
     urls = [
-        scenario.urls["small-unblocked"],
-        scenario.urls["youtube"],
-        scenario.urls["table5/tcp-ip"],
+        scenario.spec.urls["small-unblocked"],
+        scenario.spec.urls["youtube"],
+        scenario.spec.urls["table5/tcp-ip"],
     ]
-    served = 0
+    responses = []
 
     def storm():
-        count = 0
-        for index in range(rounds):
+        for _ in range(rounds):
             for url in urls:
                 response = yield from client.request(url)
                 yield response.measurement_process
-                count += 1
-        return count
+                responses.append(response)
+        return len(responses)
 
     served = world.run_process(storm())
     assert served == rounds * len(urls)
-    return served
+    return responses
 
 
 def run_session_request_storm_notrace(rounds=40):
     """The same 120-request storm with ``TraceMode.OFF`` — what a
     deployment that never looks at traces pays for the session layer."""
-    return run_session_request_storm(rounds=rounds, trace_mode="off")
+    return len(run_session_request_storm(rounds=rounds, trace_mode="off"))
 
 
 def run_fleet_report_storm():

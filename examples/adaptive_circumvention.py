@@ -15,7 +15,8 @@ Run:  python examples/adaptive_circumvention.py
 """
 
 from repro.core import CSawClient
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 def drive(scenario, isp, label: str, accesses: int = 8) -> None:
@@ -30,7 +31,7 @@ def drive(scenario, isp, label: str, accesses: int = 8) -> None:
 
     def session():
         for index in range(accesses):
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             stages = ",".join(s.value for s in response.stages) or "-"
             print(
@@ -39,7 +40,7 @@ def drive(scenario, isp, label: str, accesses: int = 8) -> None:
             )
         estimate = {
             name: round(client.circumvention.estimate_plt(
-                name, scenario.urls["youtube"]), 2)
+                name, scenario.spec.urls["youtube"]), 2)
             for name in client.circumvention.transports
             if name != "direct"
         }
@@ -49,9 +50,9 @@ def drive(scenario, isp, label: str, accesses: int = 8) -> None:
 
 
 def main() -> None:
-    scenario = pakistan_case_study(seed=7, with_proxy_fleet=False)
-    drive(scenario, scenario.isp_a, "ISP-A (HTTP block page)")
-    drive(scenario, scenario.isp_b, "ISP-B (DNS + HTTP/HTTPS drops)")
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=7, with_proxy_fleet=False))
+    drive(scenario, scenario.isps[ISP_A_ASN], "ISP-A (HTTP block page)")
+    drive(scenario, scenario.isps[ISP_B_ASN], "ISP-B (DNS + HTTP/HTTPS drops)")
 
 
 if __name__ == "__main__":

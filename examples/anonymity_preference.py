@@ -11,7 +11,8 @@ Run:  python examples/anonymity_preference.py
 """
 
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 def drive(scenario, client, label: str, accesses: int = 6) -> None:
@@ -20,7 +21,7 @@ def drive(scenario, client, label: str, accesses: int = 6) -> None:
 
     def session():
         for index in range(accesses):
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             anonymous = (
                 "anonymous" if response.path == "tor" else "attributable"
@@ -35,19 +36,21 @@ def drive(scenario, client, label: str, accesses: int = 6) -> None:
 
 
 def main() -> None:
-    scenario = pakistan_case_study(seed=17, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=17, with_proxy_fleet=False)
+    )
 
     performance_user = CSawClient(
         scenario.world,
         "perf-user",
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("perf-user"),
         config=CSawConfig(prefer_anonymity=False),
     )
     anonymity_user = CSawClient(
         scenario.world,
         "anon-user",
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("anon-user"),
         config=CSawConfig(prefer_anonymity=True),
     )

@@ -13,20 +13,23 @@ Run:  python examples/crowdsourced_measurement.py
 
 from repro.core import CSawClient, ReportItem, ServerDB
 from repro.core.records import BlockType
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 def main() -> None:
-    scenario = pakistan_case_study(seed=99, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=99, with_proxy_fleet=False)
+    )
     world = scenario.world
     server = ServerDB()
-    url = scenario.urls["youtube"]
+    url = scenario.spec.urls["youtube"]
 
     users = [
         CSawClient(
             world,
             f"user-{index}",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports(f"user-{index}"),
             server_db=server,
         )
@@ -66,23 +69,23 @@ def main() -> None:
         fakes = [
             ReportItem(
                 url=f"http://innocent-{i}.example/",
-                asn=scenario.isp_a.asn,
+                asn=ISP_A_ASN,
                 stages=(BlockType.BLOCK_PAGE,),
                 measured_at=world.env.now,
             )
             for i in range(100)
         ]
         server.post_update(evil, fakes, now=world.env.now)
-        naive = server.blocked_for_as(scenario.isp_a.asn, now=world.env.now)
+        naive = server.blocked_for_as(ISP_A_ASN, now=world.env.now)
         careful = server.blocked_for_as(
-            scenario.isp_a.asn, now=world.env.now, min_votes=0.05
+            ISP_A_ASN, now=world.env.now, min_votes=0.05
         )
         print(f"  naive download: {len(naive)} entries (poisoned!)")
         print(
             f"  with the voting filter (min_votes=0.05): {len(careful)} "
             f"entries — {[e.url for e in careful]}"
         )
-        stats = server.stats_for(url, scenario.isp_a.asn)
+        stats = server.stats_for(url, ISP_A_ASN)
         print(
             f"  votes for the real entry: s={stats.votes:.2f} from "
             f"n={stats.reporters} reporter(s)"

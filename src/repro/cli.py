@@ -86,14 +86,19 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
     from .core.detection import measure_direct_path
-    from .workloads.scenarios import pakistan_case_study
+    from .scenarios import ScenarioCompiler, pakistan_spec
+    from .scenarios.library import ISP_A_ASN, ISP_B_ASN
 
-    scenario = pakistan_case_study(seed=args.seed, with_proxy_fleet=False)
-    world = scenario.world
+    compiled = ScenarioCompiler().compile(
+        pakistan_spec(seed=args.seed, with_proxy_fleet=False)
+    )
+    world = compiled.world
+    urls = compiled.spec.urls
     rows = []
-    for isp_name, isp in (("ISP-A", scenario.isp_a), ("ISP-B", scenario.isp_b)):
-        for label, url in (("YouTube", scenario.urls["youtube"]),
-                           ("blocked content", scenario.urls["porn"])):
+    for isp_name, asn in (("ISP-A", ISP_A_ASN), ("ISP-B", ISP_B_ASN)):
+        isp = compiled.isps[asn]
+        for label, url in (("YouTube", urls["youtube"]),
+                           ("blocked content", urls["porn"])):
             client, access = world.add_client(
                 f"cli-{isp.asn}-{label.replace(' ', '')}", [isp]
             )
@@ -130,12 +135,17 @@ def _cmd_pilot(args: argparse.Namespace) -> int:
 
 
 def _cmd_wave(args: argparse.Namespace) -> int:
-    from .workloads.events import run_blocking_wave
+    from .scenarios import ScenarioRunner, wave_spec
 
-    observations = run_blocking_wave(seed=args.seed)
+    outcome = ScenarioRunner().run(wave_spec(seed=args.seed))
     rows = [
-        [f"t+{o.detected_at / 3600:.1f}h", o.service, f"AS {o.asn}", o.symptom]
-        for o in observations
+        [
+            f"t+{o.detected_at / 3600:.1f}h",
+            "Twitter" if "twitter" in o.url else "Instagram",
+            f"AS {o.asn}",
+            o.symptom,
+        ]
+        for o in outcome.observations
     ]
     print(render_table(
         ["detected", "service", "AS", "response"], rows,

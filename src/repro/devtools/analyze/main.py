@@ -28,10 +28,10 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import config as _config
-from ..config import ToolConfig, iter_python_files, load_tool_config
+from ..config import ToolConfig, effective_rules, load_tool_config
 from ..framework import Violation, is_suppressed, suppressed_lines
 from .callgraph import build_call_graph
 from .index import ProjectIndex
@@ -70,26 +70,12 @@ def build_project(
     return Project(index=index, graph=graph, config=config)
 
 
-def _effective_rules(config: AnalyzeConfig) -> List[AnalysisRule]:
-    selected: List[AnalysisRule] = []
-    for code, rule_cls in all_analysis_rules().items():
-        if config.select and code not in config.select:
-            continue
-        rule = rule_cls()
-        if code in config.scope:
-            rule.scope = tuple(config.scope[code])
-        if code in config.allow:
-            rule.allow = tuple(rule.allow) + tuple(config.allow[code])
-        selected.append(rule)
-    return selected
-
-
 def analyze_project(
     project: Project, rules: Optional[Sequence[AnalysisRule]] = None
 ) -> List[Violation]:
     """Run the CSA rules; apply inline suppressions per finding file."""
     if rules is None:
-        rules = _effective_rules(project.config)
+        rules = effective_rules(all_analysis_rules(), project.config)
     violations: List[Violation] = []
     for rule in rules:
         violations.extend(rule.check(project))

@@ -7,9 +7,10 @@ the same committed-baseline format, so the mechanics live here once:
 
 - :class:`ToolConfig` — root, rule selection, per-rule ``allow``/
   ``scope`` glob tables, free-form options, baseline path;
-- :func:`load_tool_config` — load a ``[tool.<section>]`` table (via
-  :mod:`tomllib` when available, else a tiny built-in TOML subset
-  parser — the same fallback strategy as the scenario spec loader);
+- :func:`load_tool_config` — load a ``[tool.<section>]`` table via
+  :mod:`tomllib`;
+- :func:`effective_rules` — instantiate the selected rules with the
+  config's scope/allow globs applied;
 - :func:`iter_python_files` — deterministic file discovery;
 - baseline read/write/apply — findings are grandfathered per
   ``(file, code)`` count, so a committed-empty baseline enforces every
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
+import tomllib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -31,12 +32,12 @@ __all__ = [
     "ToolConfig",
     "apply_baseline",
     "baseline_key",
+    "effective_rules",
     "find_project_root",
     "iter_python_files",
     "load_baseline",
     "load_tool_config",
     "load_toml",
-    "parse_minimal_toml",
     "write_baseline",
 ]
 
@@ -53,76 +54,26 @@ class ToolConfig:
     baseline: Optional[str] = None
 
 
-def parse_minimal_toml(text: str) -> Dict[str, Dict[str, object]]:
-    """Tiny TOML subset parser (fallback when :mod:`tomllib` is absent).
-
-    Understands ``[dotted.section]`` headers and ``key = value`` lines
-    where value is a string, bool, int, or (possibly multi-line) array
-    of strings — exactly what the ``[tool.csawlint]`` /
-    ``[tool.csawanalyze]`` tables use.  Unparseable values are kept as
-    raw strings and ignored by the config loader.
-    """
-    sections: Dict[str, Dict[str, object]] = {}
-    current: Dict[str, object] = sections.setdefault("", {})
-    pending_key: Optional[str] = None
-    pending_chunks: List[str] = []
-
-    def parse_value(raw: str) -> object:
-        raw = raw.strip()
-        if raw.startswith("[") and raw.endswith("]"):
-            return re.findall(r'"((?:[^"\\]|\\.)*)"', raw)
-        if len(raw) >= 2 and raw[0] == raw[-1] == '"':
-            return raw[1:-1]
-        if raw in ("true", "false"):
-            return raw == "true"
-        try:
-            return int(raw)
-        except ValueError:
-            return raw
-
-    for line in text.splitlines():
-        stripped = line.strip()
-        if pending_key is not None:
-            pending_chunks.append(stripped)
-            if stripped.endswith("]"):
-                current[pending_key] = parse_value(" ".join(pending_chunks))
-                pending_key, pending_chunks = None, []
-            continue
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped.strip("[]").strip().strip('"')
-            current = sections.setdefault(name, {})
-            continue
-        if "=" in stripped:
-            key, _, raw = stripped.partition("=")
-            raw = raw.split(" #")[0].strip()
-            if raw.startswith("[") and not raw.endswith("]"):
-                pending_key, pending_chunks = key.strip(), [raw]
-                continue
-            current[key.strip()] = parse_value(raw)
-    return sections
-
-
 def load_toml(path: str) -> Dict[str, object]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        import tomllib  # Python 3.11+
+        return tomllib.load(fh)
 
-        return tomllib.loads(data.decode("utf-8"))
-    except ImportError:
-        flat = parse_minimal_toml(data.decode("utf-8"))
-        nested: Dict[str, object] = dict(flat.get("", {}))
-        for section, values in flat.items():
-            if not section:
-                continue
-            node = nested
-            for part in section.split("."):
-                node = node.setdefault(part, {})  # type: ignore[assignment]
-            if isinstance(node, dict):
-                node.update(values)
-        return nested
+
+def effective_rules(registry: Dict[str, type], config: ToolConfig) -> list:
+    """Instantiate the selected rules of ``registry`` (code -> class) with
+    the config's ``scope`` replacing and ``allow`` extending each rule's
+    built-in globs."""
+    selected = []
+    for code, rule_cls in registry.items():
+        if config.select and code not in config.select:
+            continue
+        rule = rule_cls()
+        if code in config.scope:
+            rule.scope = tuple(config.scope[code])
+        if code in config.allow:
+            rule.allow = tuple(rule.allow) + tuple(config.allow[code])
+        selected.append(rule)
+    return selected
 
 
 def find_project_root(start: str) -> str:

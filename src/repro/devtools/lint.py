@@ -31,15 +31,18 @@ import hashlib
 import json
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .config import (
     ToolConfig,
+    apply_baseline,
+    effective_rules,
     find_project_root,  # noqa: F401  (re-exported: part of the lint API)
     iter_python_files,
+    load_baseline,
     load_tool_config,
+    write_baseline,
 )
-from . import config as _config
 from .framework import (
     LintContext,
     Rule,
@@ -68,20 +71,6 @@ def load_config(config_path: Optional[str], anchor: str) -> LintConfig:
 # -- core lint loop ------------------------------------------------------------
 
 
-def _effective_rules(config: LintConfig) -> List[Rule]:
-    selected = []
-    for code, rule_cls in all_rules().items():
-        if config.select and code not in config.select:
-            continue
-        rule = rule_cls()
-        if code in config.scope:
-            rule.scope = tuple(config.scope[code])
-        if code in config.allow:
-            rule.allow = tuple(rule.allow) + tuple(config.allow[code])
-        selected.append(rule)
-    return selected
-
-
 def lint_source(
     source: str,
     path: str,
@@ -91,7 +80,7 @@ def lint_source(
     """Lint one in-memory module; ``path`` drives scope/allow matching."""
     config = config or LintConfig()
     if rules is None:
-        rules = _effective_rules(config)
+        rules = effective_rules(all_rules(), config)
     relpath = os.path.relpath(os.path.abspath(path), config.root).replace(
         os.sep, "/"
     )
@@ -130,33 +119,13 @@ def lint_paths(
     paths: Sequence[str], config: Optional[LintConfig] = None
 ) -> List[Violation]:
     config = config or LintConfig()
-    rules = _effective_rules(config)
+    rules = effective_rules(all_rules(), config)
     violations: List[Violation] = []
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         violations.extend(lint_source(source, path, config, rules))
     return violations
-
-
-# -- baseline (shared with csaw-analyze; see devtools/config.py) ---------------
-
-
-def write_baseline(
-    violations: Iterable[Violation], path: str, config: LintConfig
-) -> None:
-    _config.write_baseline(violations, path, config.root)
-
-
-def load_baseline(path: Optional[str]) -> Dict[str, int]:
-    return _config.load_baseline(path)
-
-
-def apply_baseline(
-    violations: Sequence[Violation], baseline: Dict[str, int], config: LintConfig
-) -> Tuple[List[Violation], int]:
-    """Drop up to ``baseline[key]`` findings per (file, code); count kept."""
-    return _config.apply_baseline(violations, baseline, config.root)
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -212,7 +181,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     violations = lint_paths(paths, config)
 
     if args.write_baseline:
-        write_baseline(violations, args.write_baseline, config)
+        write_baseline(violations, args.write_baseline, config.root)
         print(
             f"csaw-lint: wrote baseline with {len(violations)} finding(s) "
             f"to {args.write_baseline}"
@@ -223,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if baseline_path and not os.path.isabs(baseline_path):
         baseline_path = os.path.join(config.root, baseline_path)
     fresh, grandfathered = apply_baseline(
-        violations, load_baseline(baseline_path), config
+        violations, load_baseline(baseline_path), config.root
     )
 
     if args.fmt == "json":

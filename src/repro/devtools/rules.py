@@ -762,11 +762,7 @@ class SpecBackedScenarioRule(Rule):
         "scenario modules must not build World/CensorPolicy directly: "
         "declare a ScenarioSpec and compile it via repro.scenarios"
     )
-    scope = (
-        "src/repro/workloads/scenarios.py",
-        "src/repro/workloads/events.py",
-        "src/repro/scenarios/library.py",
-    )
+    scope = ("src/repro/scenarios/library.py",)
     allow = ("src/repro/scenarios/compiler.py",)
 
     _BUILDERS = {"World", "CensorPolicy"}

@@ -70,7 +70,7 @@ class CompiledEvent:
 
 @dataclass
 class CompiledScenario:
-    """Everything a runner (or a legacy wrapper) needs, in one bundle."""
+    """Everything a runner (or a direct caller) needs, in one bundle."""
 
     spec: ScenarioSpec
     world: World
@@ -91,9 +91,9 @@ class CompiledScenario:
         tor_rotation: float = 600.0,
         tor_exit_location: Optional[str] = None,
     ) -> List[Transport]:
-        """Per-client transport set; names match the legacy catalogue
-        (Tor circuits and Lantern trust are per-user, so nothing here is
-        shared between clients)."""
+        """Per-client transport set, in catalogue order or as ``include``
+        lists them (Tor circuits and Lantern trust are per-user, so
+        nothing here is shared between clients)."""
         from ..circumvent.holdon import HoldOnTransport
 
         def need(what, value):

@@ -1,12 +1,12 @@
 """The canonical scenarios, expressed as specs.
 
-These are the declarative re-statements of the three legacy imperative
-builders — Pakistan §2.3/Table 1, the centralized-country contrast case,
-and the §7.5 blocking wave.  The old entrypoints in
-``repro.workloads.scenarios`` / ``repro.workloads.events`` are now thin
-wrappers that compile these specs; ``tests/test_scenario_dsl.py`` proves
-the compiled worlds bit-identical (same seed, same floats) to the
-pre-redesign builders via committed golden fingerprints.
+The paper's three worlds as data — Pakistan §2.3/Table 1, the
+centralized-country contrast case, and the §7.5 blocking wave.  Callers
+compile them (``ScenarioCompiler().compile(pakistan_spec(...))``) or run
+them (``ScenarioRunner().run(wave_spec(...))``);
+``tests/test_scenario_dsl.py`` proves the compiled worlds bit-identical
+(same seed, same floats) to the pre-redesign builders via committed
+golden fingerprints.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ __all__ = [
     "pakistan_spec",
     "centralized_spec",
     "wave_spec",
+    "ISP_A_ASN",
+    "ISP_B_ASN",
+    "CLEAN_ASN",
+    "YOUTUBE",
+    "FRONT",
+    "PORN_SITE",
     "WAVE_ASNS",
     "TWITTER",
     "INSTAGRAM",

@@ -11,10 +11,9 @@ Four execution modes, resolved from the spec:
 - ``attack`` — adversarial reporter populations driven straight at
   ``ServerDB``/``VotingLedger`` and judged by the reputation analyzer.
 
-The client driver reproduces the legacy :class:`BlockingWave` loop
-draw-for-draw (same stream names, same jitter, same think-time), which
-is what lets the old entrypoints become thin wrappers with bit-identical
-same-seed output.
+The client driver reproduces the pre-DSL blocking-wave loop
+draw-for-draw (same stream names, same jitter, same think-time), so
+same-seed runs match the committed golden fingerprints bit for bit.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class ScenarioOutcome:
     report: ExpectationReport = None  # type: ignore[assignment]
 
 
-# -- the client-mode driver (the legacy wave loop, verbatim) -------------------
+# -- the client-mode driver (the pre-DSL wave loop, verbatim) ------------------
 
 
 def _censor_process(world, events):
@@ -133,7 +132,7 @@ def _user_process(world, client, rng, urls, workload, duration):
 
 def drive_clients(compiled: CompiledScenario) -> None:
     """Run the browse workload to the spec's horizon (censor events
-    first, then one behaviour process per client, as the legacy driver
+    first, then one behaviour process per client, as the pre-DSL driver
     ordered them)."""
     spec = compiled.spec
     world = compiled.world

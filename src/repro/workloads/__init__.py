@@ -1,14 +1,9 @@
-"""Workloads: synthetic corpus, canned scenarios, pilot study, events."""
+"""Workloads: synthetic corpus, ONI sweep, pilot study."""
 
 from .corpus import CATEGORY_MIX, Corpus, SiteSpec, build_corpus
-from .events import (
-    BlockingEvent,
-    BlockingWave,
-    WaveObservation,
-    run_blocking_wave,
-)
 from .oni import FIG2_CATEGORIES, ONI_AS_SPECS, OniSweep, run_oni_sweep
 from .pilot import (
+    BLOCKED_CATEGORIES,
     PilotConfig,
     PilotReport,
     PilotStudy,
@@ -16,36 +11,21 @@ from .pilot import (
     run_pilot,
     summarize_sweep,
 )
-from .scenarios import (
-    BLOCKED_CATEGORIES,
-    CaseStudyScenario,
-    CentralizedScenario,
-    centralized_country,
-    pakistan_case_study,
-)
 
 __all__ = [
     "CATEGORY_MIX",
     "Corpus",
     "SiteSpec",
     "build_corpus",
-    "BlockingEvent",
-    "BlockingWave",
-    "WaveObservation",
-    "run_blocking_wave",
     "FIG2_CATEGORIES",
     "ONI_AS_SPECS",
     "OniSweep",
     "run_oni_sweep",
+    "BLOCKED_CATEGORIES",
     "PilotConfig",
     "PilotReport",
     "PilotStudy",
     "pilot_sweep",
     "run_pilot",
     "summarize_sweep",
-    "BLOCKED_CATEGORIES",
-    "CaseStudyScenario",
-    "CentralizedScenario",
-    "centralized_country",
-    "pakistan_case_study",
 ]

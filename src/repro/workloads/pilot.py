@@ -38,9 +38,9 @@ from ..simnet.web import WebPage
 from ..simnet.world import World
 from ..urlkit import parse_url, registered_domain
 from .corpus import Corpus, build_corpus
-from .scenarios import BLOCKED_CATEGORIES
 
 __all__ = [
+    "BLOCKED_CATEGORIES",
     "PilotConfig",
     "PilotReport",
     "PilotStudy",
@@ -48,6 +48,9 @@ __all__ = [
     "pilot_sweep",
     "summarize_sweep",
 ]
+
+# Corpus categories the pilot's censor blocks.
+BLOCKED_CATEGORIES = ("porn", "political", "religious")
 
 # Mechanism mix per (AS, domain); weights target the Table-7 proportions
 # (block pages ~48 %, DNS ~38 %, TCP timeouts ~11 %, the rest exotic).

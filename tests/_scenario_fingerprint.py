@@ -1,12 +1,12 @@
-"""Behavioral fingerprints for the legacy scenario entrypoints.
+"""Behavioral fingerprints for the three canonical scenario specs.
 
-The scenario-DSL redesign (ISSUE 7) turns ``pakistan_case_study``,
-``centralized_country``, and ``BlockingWave`` into thin wrappers over
-declarative :class:`~repro.scenarios.spec.ScenarioSpec` objects.  The
-contract is *bit-identical behavior under the same seed*: the fingerprints
-below were captured from the pre-redesign imperative builders (commit
-a39839e) into ``tests/data/scenario_golden.json`` and the compatibility
-tests re-compute them against the spec-compiled wrappers.
+The Pakistan case study, the centralized country and the §7.5 blocking
+wave are declarative :class:`~repro.scenarios.spec.ScenarioSpec` objects
+(``repro.scenarios.library``).  The contract is *bit-identical behavior
+under the same seed*: the fingerprints below were captured from the
+pre-DSL imperative builders (commit a39839e) into
+``tests/data/scenario_golden.json``, and the golden tests re-compute
+them by compiling (and, for the wave, running) the specs.
 
 A fingerprint exercises the world end to end — direct-path measurements
 from every ISP over every scenario URL (stage sequences *and* exact float
@@ -71,27 +71,27 @@ def _server_rows(server) -> List[Any]:
 def case_study_fingerprint(seed: int = 3) -> Dict[str, Any]:
     """Probes + one converging C-Saw client on the Pakistan world."""
     from repro.core import CSawClient, ServerDB
-    from repro.workloads.scenarios import pakistan_case_study
+    from repro.scenarios import ScenarioCompiler, pakistan_spec
+    from repro.scenarios.library import CLEAN_ASN, ISP_A_ASN, ISP_B_ASN
 
-    scenario = pakistan_case_study(seed=seed, with_proxy_fleet=True)
-    world = scenario.world
+    compiled = ScenarioCompiler().compile(
+        pakistan_spec(seed=seed, with_proxy_fleet=True)
+    )
+    world = compiled.world
+    urls = compiled.spec.urls
     fp: Dict[str, Any] = {"probes": [], "flow": {}, "server": []}
-    for isp_label, isp in (
-        ("A", scenario.isp_a),
-        ("B", scenario.isp_b),
-        ("clean", scenario.isp_clean),
-    ):
-        for key in sorted(scenario.urls):
+    for isp_label, asn in (("A", ISP_A_ASN), ("B", ISP_B_ASN), ("clean", CLEAN_ASN)):
+        for key in sorted(urls):
             fp["probes"].append(
                 [isp_label, key]
-                + _probe(world, isp, f"{isp_label}/{key}", scenario.urls[key])
+                + _probe(world, compiled.isps[asn], f"{isp_label}/{key}", urls[key])
             )
     server = ServerDB(entry_ttl=None)
     client = CSawClient(
         world,
         "fp-user",
-        [scenario.isp_b],
-        transports=scenario.make_transports(
+        [compiled.isps[ISP_B_ASN]],
+        transports=compiled.make_transports(
             "fp-user", include=["public-dns", "https", "domain-fronting"]
         ),
         server_db=server,
@@ -101,7 +101,7 @@ def case_study_fingerprint(seed: int = 3) -> Dict[str, Any]:
     def flow():
         yield from client.install()
         for _ in range(3):
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(urls["youtube"])
             yield response.measurement_process
             paths.append([response.path, repr(response.plt), response.status.value])
 
@@ -113,29 +113,34 @@ def case_study_fingerprint(seed: int = 3) -> Dict[str, Any]:
 
 def centralized_fingerprint(seed: int = 9, n_isps: int = 3) -> Dict[str, Any]:
     from repro.core import CSawClient
-    from repro.workloads.scenarios import centralized_country
+    from repro.scenarios import ScenarioCompiler, centralized_spec
 
-    scenario = centralized_country(seed=seed, n_isps=n_isps)
-    world = scenario.world
+    compiled = ScenarioCompiler().compile(centralized_spec(seed=seed, n_isps=n_isps))
+    world = compiled.world
+    urls = compiled.spec.urls
+    isps = [compiled.isps[a.asn] for a in compiled.spec.ases]
     fp: Dict[str, Any] = {"probes": [], "paths": []}
-    for isp in scenario.isps:
-        for key in sorted(scenario.urls):
+    for isp in isps:
+        for key in sorted(urls):
             fp["probes"].append(
                 [isp.asn, key]
-                + _probe(world, isp, f"{isp.asn}/{key}", scenario.urls[key])
+                + _probe(world, isp, f"{isp.asn}/{key}", urls[key])
             )
-    for isp in scenario.isps:
+    for isp in isps:
         client = CSawClient(
             world,
             f"fp-user-{isp.asn}",
             [isp],
-            transports=scenario.make_transports(f"fp-user-{isp.asn}"),
+            transports=compiled.make_transports(
+                f"fp-user-{isp.asn}",
+                include=["public-dns", "https", "tor", "lantern"],
+            ),
         )
 
         def flow(c=client):
             last = None
             for _ in range(3):
-                response = yield from c.request(scenario.urls["youtube"])
+                response = yield from c.request(urls["youtube"])
                 yield response.measurement_process
                 last = response
             return last
@@ -146,17 +151,31 @@ def centralized_fingerprint(seed: int = 9, n_isps: int = 3) -> Dict[str, Any]:
 
 
 def wave_fingerprint(seed: int = 6, users_per_as: int = 3) -> Dict[str, Any]:
-    from repro.workloads.events import BlockingWave
+    """Compile the wave spec and drive its clients; observations are
+    built from the global DB and ordered by detection time, the service
+    named by the URL."""
+    from repro.scenarios import ScenarioCompiler, symptom_for, wave_spec
+    from repro.scenarios.runner import drive_clients
 
-    wave = BlockingWave(seed=seed, users_per_as=users_per_as)
-    observations = wave.run()
+    compiled = ScenarioCompiler().compile(
+        wave_spec(seed=seed, users_per_as=users_per_as)
+    )
+    drive_clients(compiled)
+    entries = sorted(
+        compiled.server.all_entries(), key=lambda entry: entry.first_measured_at
+    )
     return {
         "observations": [
-            [repr(o.detected_at), o.asn, o.service, o.symptom]
-            for o in observations
+            [
+                repr(entry.first_measured_at),
+                entry.asn,
+                "Twitter" if "twitter" in entry.url else "Instagram",
+                symptom_for(entry.stages),
+            ]
+            for entry in entries
         ],
-        "stats": [_freeze(c.stats()) for c in wave.clients],
-        "entries": wave.server.entry_count,
+        "stats": [_freeze(c.stats()) for c in compiled.clients],
+        "entries": compiled.server.entry_count,
     }
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from repro.core import CSawClient, CSawConfig
 from repro.workloads.pilot import PilotConfig, PilotStudy
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 #: Original PilotReport fields (pre-refactor vintage): new report fields
 #: must not invalidate the golden, so the capture names these explicitly.
@@ -61,7 +62,9 @@ def _run_request(world, client, url):
 
 
 def capture() -> dict:
-    scenario = pakistan_case_study(seed=13, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=13, with_proxy_fleet=False)
+    )
     world = scenario.world
 
     def make(name, isp, config=None):
@@ -73,24 +76,26 @@ def capture() -> dict:
             config=config,
         )
 
-    client_a = make("golden-a", scenario.isp_a)
-    client_b = make("golden-b", scenario.isp_b)
+    client_a = make("golden-a", scenario.isps[ISP_A_ASN])
+    client_b = make("golden-b", scenario.isps[ISP_B_ASN])
     probing = make(
-        "golden-probe", scenario.isp_a, config=CSawConfig(probe_probability=1.0)
+        "golden-probe",
+        scenario.isps[ISP_A_ASN],
+        config=CSawConfig(probe_probability=1.0),
     )
 
-    plan = [(client_a, scenario.urls[key]) for key in _URL_KEYS]
+    plan = [(client_a, scenario.spec.urls[key]) for key in _URL_KEYS]
     plan += [
         # Blocked-flow repeat: the second access rides the local fix.
-        (client_a, scenario.urls["youtube"]),
+        (client_a, scenario.spec.urls["youtube"]),
         (client_a, "http://no-such-site.example/"),
         # ISP-B: DNS redirect + HTTP drop multi-stage, then SNI filtering.
-        (client_b, scenario.urls["youtube"]),
+        (client_b, scenario.spec.urls["youtube"]),
         (client_b, "https://www.youtube.com/"),
-        (client_b, scenario.urls["youtube"]),
+        (client_b, scenario.spec.urls["youtube"]),
         # Probabilistic direct probe on the blocked flow (p = 1).
-        (probing, scenario.urls["table5/tcp-ip"]),
-        (probing, scenario.urls["table5/tcp-ip"]),
+        (probing, scenario.spec.urls["table5/tcp-ip"]),
+        (probing, scenario.spec.urls["table5/tcp-ip"]),
     ]
 
     requests = []

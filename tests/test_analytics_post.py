@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import BlockStatus, BlockType, CSawClient, CSawConfig, ReportItem, ServerDB
 from repro.core.analytics import MeasurementAnalytics
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 def seeded_server():
@@ -85,13 +86,15 @@ class TestAnalytics:
 class TestPostSemantics:
     @pytest.fixture()
     def scenario(self):
-        return pakistan_case_study(seed=999, with_proxy_fleet=False)
+        return ScenarioCompiler().compile(
+            pakistan_spec(seed=999, with_proxy_fleet=False)
+        )
 
     def make_client(self, scenario, name, **config_kw):
         return CSawClient(
             scenario.world,
             name,
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports(name, include=["tor"]),
             config=CSawConfig(**config_kw),
         )
@@ -112,7 +115,7 @@ class TestPostSemantics:
         world = scenario.world
         get_client = self.make_client(scenario, "post-1")
         post_client = self.make_client(scenario, "post-2")
-        url = scenario.urls["small-unblocked"]
+        url = scenario.spec.urls["small-unblocked"]
 
         get_resp = self.run(scenario, get_client, url, "GET")
         post_resp = self.run(scenario, post_client, url, "POST")
@@ -124,18 +127,18 @@ class TestPostSemantics:
 
     def test_post_to_blocked_url_still_circumvented(self, scenario):
         client = self.make_client(scenario, "post-3")
-        first = self.run(scenario, client, scenario.urls["youtube"], "GET")
+        first = self.run(scenario, client, scenario.spec.urls["youtube"], "GET")
         assert first.status is BlockStatus.BLOCKED
-        post = self.run(scenario, client, scenario.urls["youtube"], "POST")
+        post = self.run(scenario, client, scenario.spec.urls["youtube"], "POST")
         assert post.ok
         assert post.path == "tor"  # the write still goes through, once
 
     def test_post_skips_probe(self, scenario):
         client = self.make_client(scenario, "post-4", probe_probability=1.0)
-        self.run(scenario, client, scenario.urls["youtube"], "GET")
+        self.run(scenario, client, scenario.spec.urls["youtube"], "GET")
         probes_before = client.measurement.probes_launched
         for _ in range(5):
-            self.run(scenario, client, scenario.urls["youtube"], "POST")
+            self.run(scenario, client, scenario.spec.urls["youtube"], "POST")
         assert client.measurement.probes_launched == probes_before
 
     def test_unknown_method_rejected(self, scenario):
@@ -144,7 +147,7 @@ class TestPostSemantics:
         def proc():
             with pytest.raises(ValueError):
                 yield from client.measurement.handle_request(
-                    scenario.urls["small-unblocked"], method="DELETE"
+                    scenario.spec.urls["small-unblocked"], method="DELETE"
                 )
 
         scenario.world.run_process(proc())

@@ -7,12 +7,13 @@ from repro.core import CSawClient
 from repro.simnet.browser import Semaphore, load_page
 from repro.simnet.engine import Environment
 from repro.simnet.web import EmbeddedRef
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import CLEAN_ASN, ISP_A_ASN
 
 
 @pytest.fixture()
 def scenario():
-    sc = pakistan_case_study(seed=111, with_proxy_fleet=False)
+    sc = ScenarioCompiler().compile(pakistan_spec(seed=111, with_proxy_fleet=False))
     world = sc.world
     world.web.add_site("rich.example", location="us-east")
     world.web.add_site("cdn.rich.example", location="global-anycast")
@@ -74,7 +75,7 @@ class TestLoadPage:
 
     def test_page_with_objects_loads_all(self, scenario):
         world = scenario.world
-        fetcher = self.fetcher_for(scenario, scenario.isp_a, "pl1")
+        fetcher = self.fetcher_for(scenario, scenario.isps[ISP_A_ASN], "pl1")
         result = world.run_process(
             load_page(world.env, fetcher, "http://rich.example/")
         )
@@ -89,11 +90,11 @@ class TestLoadPage:
         from repro.censor.policy import Matcher, Rule
 
         cdn_ip = world.network.hosts_by_name["cdn.rich.example"].ip
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(matcher=Matcher(ips={cdn_ip}), ip=IpVerdict(IpAction.RST)),
         )
-        fetcher = self.fetcher_for(scenario, scenario.isp_a, "pl2")
+        fetcher = self.fetcher_for(scenario, scenario.isps[ISP_A_ASN], "pl2")
         result = world.run_process(
             load_page(world.env, fetcher, "http://rich.example/")
         )
@@ -103,8 +104,8 @@ class TestLoadPage:
 
     def test_parallelism_cap_slows_load(self, scenario):
         world = scenario.world
-        fetcher_wide = self.fetcher_for(scenario, scenario.isp_clean, "pl3")
-        fetcher_narrow = self.fetcher_for(scenario, scenario.isp_clean, "pl4")
+        fetcher_wide = self.fetcher_for(scenario, scenario.isps[CLEAN_ASN], "pl3")
+        fetcher_narrow = self.fetcher_for(scenario, scenario.isps[CLEAN_ASN], "pl4")
         wide = world.run_process(
             load_page(world.env, fetcher_wide, "http://rich.example/", max_parallel=8)
         )
@@ -115,7 +116,7 @@ class TestLoadPage:
 
     def test_failed_main_returns_immediately(self, scenario):
         world = scenario.world
-        fetcher = self.fetcher_for(scenario, scenario.isp_a, "pl5")
+        fetcher = self.fetcher_for(scenario, scenario.isps[ISP_A_ASN], "pl5")
         result = world.run_process(
             load_page(world.env, fetcher, "http://nonexistent-xyz.example/")
         )
@@ -128,7 +129,7 @@ class TestClientPageLoad:
         client = CSawClient(
             scenario.world,
             "page-user",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("page-user"),
         )
         result = scenario.world.run_process(

@@ -5,12 +5,12 @@ import pytest
 from repro.core.circumvention import CircumventionModule, fix_defeats
 from repro.core.config import CSawConfig
 from repro.core.records import BlockType
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=55, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=55, with_proxy_fleet=False))
 
 
 def make_module(scenario, include=None, config=None, name="cm"):
@@ -50,7 +50,7 @@ class TestFixDefeats:
 class TestSelection:
     def test_local_fix_preferred_over_relays(self, scenario):
         module = make_module(scenario, name="s1")
-        choice = module.choose(scenario.urls["youtube"], [BlockType.BLOCK_PAGE])
+        choice = module.choose(scenario.spec.urls["youtube"], [BlockType.BLOCK_PAGE])
         assert choice.name == "https"  # cheapest fix covering http blocking
 
     def test_relay_when_no_fix_covers(self, scenario):
@@ -58,13 +58,13 @@ class TestSelection:
             scenario, include=["https", "tor", "lantern"], name="s2"
         )
         choice = module.choose(
-            scenario.urls["youtube"], [BlockType.IP_TIMEOUT]
+            scenario.spec.urls["youtube"], [BlockType.IP_TIMEOUT]
         )
         assert choice.name in ("tor", "lantern")
 
     def test_moving_average_picks_faster_relay(self, scenario):
         module = make_module(scenario, include=["tor", "lantern"], name="s3")
-        url = scenario.urls["youtube"]
+        url = scenario.spec.urls["youtube"]
         for _ in range(5):
             module.record_plt("tor", url, 12.0)
             module.record_plt("lantern", url, 4.0)
@@ -78,7 +78,7 @@ class TestSelection:
         module = make_module(
             scenario, include=["tor", "lantern"], config=config, name="s4"
         )
-        url = scenario.urls["youtube"]
+        url = scenario.spec.urls["youtube"]
         for _ in range(10):
             module.record_plt("lantern", url, 2.0)
             module.record_plt("tor", url, 20.0)
@@ -92,12 +92,12 @@ class TestSelection:
     def test_anonymity_preference_restricts_to_anonymous(self, scenario):
         config = CSawConfig(prefer_anonymity=True)
         module = make_module(scenario, config=config, name="s5")
-        choice = module.choose(scenario.urls["youtube"], [BlockType.BLOCK_PAGE])
+        choice = module.choose(scenario.spec.urls["youtube"], [BlockType.BLOCK_PAGE])
         assert choice.provides_anonymity  # tor, never the https fix
 
     def test_failed_fix_blacklisted_per_url(self, scenario):
         module = make_module(scenario, name="s6")
-        url = scenario.urls["youtube"]
+        url = scenario.spec.urls["youtube"]
         stages = [BlockType.DNS_REDIRECT, BlockType.HTTP_TIMEOUT]
         first = module.local_fix_for(url, stages)
         assert first.name == "ip-as-hostname"
@@ -105,21 +105,22 @@ class TestSelection:
         second = module.local_fix_for(url, stages)
         assert second.name == "domain-fronting"
         # Other URLs are unaffected.
-        assert module.local_fix_for(scenario.urls["porn"], stages).name == "ip-as-hostname"
+        porn = scenario.spec.urls["porn"]
+        assert module.local_fix_for(porn, stages).name == "ip-as-hostname"
 
     def test_unavailable_fix_skipped(self, scenario):
         module = make_module(scenario, name="s7")
         # small-unblocked does not support fronting; an SNI-blocked URL
         # there has no viable local fix.
         choice = module.local_fix_for(
-            scenario.urls["small-unblocked"], [BlockType.SNI_TIMEOUT]
+            scenario.spec.urls["small-unblocked"], [BlockType.SNI_TIMEOUT]
         )
         assert choice is None
 
     def test_duplicate_transport_rejected(self, scenario):
         module = make_module(scenario, include=["tor"], name="s8")
         with pytest.raises(ValueError):
-            module.register(scenario.tor_transport("s8b"))
+            module.register(scenario.make_transports("s8b", include=["tor"])[0])
 
     def test_estimate_uses_priors_for_unseen(self, scenario):
         module = make_module(scenario, include=["tor", "lantern"], name="s9")

@@ -87,6 +87,15 @@ class TestScenarioCommands:
         assert "no-such-pack" in err
         assert "vantage-disagreement" in err  # names the shipped packs
 
+    def test_run_malformed_toml_is_one_line_error(self, capsys, tmp_path):
+        spec = tmp_path / "bad.toml"
+        spec.write_text("a = 1\nb = {inline =\n")
+        assert main(["scenario", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"csaw-sim scenario: {spec}: ")
+        assert "line 2" in err
+
     def test_run_failing_expectations_exits_nonzero(self, capsys, tmp_path):
         spec = tmp_path / "wrong.toml"
         spec.write_text(

@@ -25,7 +25,8 @@ from repro.censor.actions import (
     TlsVerdict,
 )
 from repro.censor.policy import CensorPolicy, Matcher, Rule
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 from tests.reference.policy import (
     linear_on_dns_query,
     linear_on_http_request,
@@ -120,8 +121,9 @@ def _assert_equivalent(policy, seed=0):
 
 @pytest.mark.parametrize("isp", ["isp_a", "isp_b"])
 def test_pakistan_policies_compiled_matches_linear(isp):
-    scenario = pakistan_case_study(seed=7)
-    policy = getattr(scenario, isp).censor.policy
+    scenario = ScenarioCompiler().compile(pakistan_spec(seed=7))
+    asn = {"isp_a": ISP_A_ASN, "isp_b": ISP_B_ASN}[isp]
+    policy = scenario.isps[asn].censor.policy
     for seed in range(3):
         _assert_equivalent(policy, seed)
 

@@ -9,16 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools.config import apply_baseline, load_baseline, write_baseline
 from repro.devtools.framework import all_rules, suppressed_lines
 from repro.devtools.lint import (
     LintConfig,
-    apply_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     load_config,
     main,
-    write_baseline,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -438,7 +436,7 @@ class TestCSL008InlineBlockTypeMap:
 
 
 class TestCSL009SpecBackedScenarios:
-    SCENARIOS = f"{ROOT}/src/repro/workloads/scenarios.py"
+    SCENARIOS = f"{ROOT}/src/repro/scenarios/library.py"
     LIBRARY = f"{ROOT}/src/repro/scenarios/library.py"
 
     def test_trigger_direct_world_and_policy(self):
@@ -582,11 +580,11 @@ class TestBaseline:
         assert [v.code for v in violations] == ["CSL007"]
 
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(violations, str(baseline_path), config)
+        write_baseline(violations, str(baseline_path), config.root)
         baseline = load_baseline(str(baseline_path))
         assert baseline == {"src/old.py:CSL007": 1}
 
-        fresh, grandfathered = apply_baseline(violations, baseline, config)
+        fresh, grandfathered = apply_baseline(violations, baseline, config.root)
         assert fresh == [] and grandfathered == 1
 
     def test_new_violation_not_masked(self, tmp_path):
@@ -594,12 +592,12 @@ class TestBaseline:
         config = LintConfig(root=str(tmp_path))
         violations = lint_paths([str(tmp_path / "src")], config)
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(violations, str(baseline_path), config)
+        write_baseline(violations, str(baseline_path), config.root)
 
         path.write_text(path.read_text() + "def g(ys=[]):\n    return ys\n")
         violations = lint_paths([str(tmp_path / "src")], config)
         fresh, grandfathered = apply_baseline(
-            violations, load_baseline(str(baseline_path)), config
+            violations, load_baseline(str(baseline_path)), config.root
         )
         assert grandfathered == 1
         assert [v.code for v in fresh] == ["CSL007"]

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.detection import measure_direct_path
 from repro.core.records import BlockStatus, BlockType
-from repro.workloads.scenarios import TABLE5_SITES, pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return pakistan_case_study(seed=21, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=21, with_proxy_fleet=False))
 
 
 def detect(scenario, isp, url):
@@ -24,26 +25,32 @@ def detect(scenario, isp, url):
 class TestFlowchartClassification:
     def test_unblocked_page_is_not_blocked(self, scenario):
         outcome = detect(
-            scenario, scenario.isp_a, scenario.urls["small-unblocked"]
+            scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls["small-unblocked"]
         )
         assert outcome.status is BlockStatus.NOT_BLOCKED
         assert outcome.stages == []
         assert outcome.response.status == 200
 
     def test_http_blockpage_detected(self, scenario):
-        outcome = detect(scenario, scenario.isp_a, scenario.urls["youtube"])
+        outcome = detect(
+            scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls["youtube"]
+        )
         assert outcome.status is BlockStatus.BLOCKED
         assert outcome.stages == [BlockType.BLOCK_PAGE]
         assert outcome.suspected_blockpage  # pending phase-2 confirmation
 
     def test_tcp_ip_blackhole_detected(self, scenario):
-        outcome = detect(scenario, scenario.isp_a, scenario.urls["table5/tcp-ip"])
+        outcome = detect(
+            scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls["table5/tcp-ip"]
+        )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.IP_TIMEOUT in outcome.stages
 
     def test_dns_servfail_detected_via_gdns(self, scenario):
         outcome = detect(
-            scenario, scenario.isp_a, scenario.urls["table5/dns-servfail"]
+            scenario,
+            scenario.isps[ISP_A_ASN],
+            scenario.spec.urls["table5/dns-servfail"],
         )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.DNS_SERVFAIL in outcome.stages
@@ -52,33 +59,37 @@ class TestFlowchartClassification:
 
     def test_dns_refused_detected(self, scenario):
         outcome = detect(
-            scenario, scenario.isp_a, scenario.urls["table5/dns-refused"]
+            scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls["table5/dns-refused"]
         )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.DNS_REFUSED in outcome.stages
 
     def test_multistage_dns_plus_ip(self, scenario):
         outcome = detect(
-            scenario, scenario.isp_a, scenario.urls["table5/tcp-ip+dns"]
+            scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls["table5/tcp-ip+dns"]
         )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.DNS_SERVFAIL in outcome.stages
         assert BlockType.IP_TIMEOUT in outcome.stages
 
     def test_isp_b_dns_redirect_plus_http_drop(self, scenario):
-        outcome = detect(scenario, scenario.isp_b, scenario.urls["youtube"])
+        outcome = detect(
+            scenario, scenario.isps[ISP_B_ASN], scenario.spec.urls["youtube"]
+        )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.DNS_REDIRECT in outcome.stages
         assert BlockType.HTTP_TIMEOUT in outcome.stages
 
     def test_nonexistent_domain_is_not_censorship(self, scenario):
-        outcome = detect(scenario, scenario.isp_a, "http://no-such-site.example/")
+        outcome = detect(
+            scenario, scenario.isps[ISP_A_ASN], "http://no-such-site.example/"
+        )
         assert outcome.status is BlockStatus.NOT_BLOCKED
         assert outcome.error is not None
 
     def test_https_sni_drop_detected(self, scenario):
         outcome = detect(
-            scenario, scenario.isp_b, "https://www.youtube.com/"
+            scenario, scenario.isps[ISP_B_ASN], "https://www.youtube.com/"
         )
         assert outcome.status is BlockStatus.BLOCKED
         assert BlockType.SNI_TIMEOUT in outcome.stages
@@ -91,7 +102,7 @@ class TestDetectionTimes:
         times = []
         for _ in range(runs):
             outcome = detect(
-                scenario, scenario.isp_a, scenario.urls[f"table5/{key}"]
+                scenario, scenario.isps[ISP_A_ASN], scenario.spec.urls[f"table5/{key}"]
             )
             times.append(outcome.detection_time)
         return sum(times) / len(times)

@@ -26,13 +26,13 @@ REPO = Path(__file__).resolve().parents[1]
 
 # One canonical rendering of the crowdsourcing pipeline: a small pilot
 # (sim + reporting + sync), per-AS analytics, reputation enforcement
-# (revocation order mutates server change logs), and a staggered
-# rollout's deterministic default stream.
+# (revocation order mutates server change logs), and the compiled
+# events of a staggered ``[rolling]`` rollout.
 _PIPELINE = r"""
 import json
 from repro.core.analytics import MeasurementAnalytics
 from repro.core.reputation import ReputationAnalyzer
-from repro.workloads.events import staggered_rollout
+from repro.scenarios import ScenarioCompiler, ScenarioSpec
 from repro.workloads.pilot import PilotConfig, PilotStudy
 
 study = PilotStudy(PilotConfig(
@@ -57,10 +57,17 @@ out["revoked"] = list(ReputationAnalyzer(study.server).enforce(
 out["post_revoke_entries"] = sorted(
     e.url for e in study.server.all_entries())
 
+rollout = ScenarioSpec.from_dict({
+    "name": "rollout", "description": "staggered directive", "seed": 0,
+    "sites": [{"hostname": "a.example"}, {"hostname": "b.example"}],
+    "policies": [{"name": "p"}],
+    "ases": [{"asn": asn, "policy": "p"} for asn in (10, 11, 12)],
+    "rolling": {"domains": ["a.example", "b.example"], "asns": [10, 11, 12],
+                "start": 5.0, "lag": 3600.0, "mechanisms": ["http-drop"]},
+})
 out["rollout"] = [
     [e.time, e.asn, e.domain]
-    for e in staggered_rollout(["a.example", "b.example"], [10, 11, 12],
-                               start=5.0, lag=3600.0)
+    for e in ScenarioCompiler().compile(rollout).events
 ]
 
 # The trace bus feeds these: per-stage PLT seconds aggregated over every

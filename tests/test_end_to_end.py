@@ -26,12 +26,15 @@ from repro.core import (
     ReputationAnalyzer,
     ServerDB,
 )
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture(scope="module")
 def story():
-    scenario = pakistan_case_study(seed=31337, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=31337, with_proxy_fleet=False)
+    )
     world = scenario.world
     server = ServerDB(entry_ttl=None)
     config = CSawConfig(
@@ -43,7 +46,7 @@ def story():
         CSawClient(
             world,
             f"e2e-user-{index}",
-            [scenario.isp_a if index % 2 == 0 else scenario.isp_b],
+            [scenario.isps[ISP_A_ASN] if index % 2 == 0 else scenario.isps[ISP_B_ASN]],
             transports=scenario.make_transports(f"e2e-user-{index}"),
             server_db=server,
             config=config,
@@ -57,10 +60,10 @@ def story():
         yield from user.install()
         user.start_background(until=36 * 3600.0)
         urls = [
-            scenario.urls["youtube"],
-            scenario.urls["porn"],
-            scenario.urls["small-unblocked"],
-            scenario.urls["large-unblocked"],
+            scenario.spec.urls["youtube"],
+            scenario.spec.urls["porn"],
+            scenario.spec.urls["small-unblocked"],
+            scenario.spec.urls["large-unblocked"],
         ]
         while world.env.now < 36 * 3600.0:
             yield world.env.timeout(rng.expovariate(1.0 / 1200.0))
@@ -72,13 +75,13 @@ def story():
     def censor_process():
         # Hour 12: ISP-A starts blocking the large unblocked site.
         yield world.env.timeout(12 * 3600.0)
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(domains={"www.bigmedia.example.com"}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
                 label="wave",
             )
@@ -124,7 +127,7 @@ class TestDeploymentStory:
     def test_wave_detected_and_shared(self, story):
         scenario, server, _users, log = story
         entry = server.entry(
-            "http://www.bigmedia.example.com/", scenario.isp_a.asn
+            "http://www.bigmedia.example.com/", ISP_A_ASN
         )
         assert entry is not None
         # Detected after the censor moved at hour 12, within a few hours.
@@ -132,7 +135,7 @@ class TestDeploymentStory:
         assert BlockType.BLOCK_PAGE in entry.stages
         # ISP-B never blocked it: no cross-AS contamination.
         assert server.entry(
-            "http://www.bigmedia.example.com/", scenario.isp_b.asn
+            "http://www.bigmedia.example.com/", ISP_B_ASN
         ) is None
 
     def test_migration_inherits_crowd_knowledge(self, story):
@@ -141,13 +144,13 @@ class TestDeploymentStory:
         traveller = users[0]  # lives on ISP-A
 
         def migrate():
-            count = yield from traveller.migrate([scenario.isp_b])
+            count = yield from traveller.migrate([scenario.isps[ISP_B_ASN]])
             return count
 
         count = world.run_process(migrate())
-        assert traveller.asn == scenario.isp_b.asn
+        assert traveller.asn == ISP_B_ASN
         assert count >= 1  # ISP-B's blocked list came down
-        assert traveller.global_view.lookup(scenario.urls["youtube"]) is not None
+        assert traveller.global_view.lookup(scenario.spec.urls["youtube"]) is not None
 
     def test_sybil_flood_filtered_and_revoked(self, story):
         scenario, server, _users, _log = story
@@ -156,7 +159,7 @@ class TestDeploymentStory:
         fakes = [
             ReportItem(
                 url=f"http://sybil-{i}.example/",
-                asn=scenario.isp_a.asn,
+                asn=ISP_A_ASN,
                 stages=(BlockType.BLOCK_PAGE,),
                 measured_at=world.env.now,
             )
@@ -164,7 +167,7 @@ class TestDeploymentStory:
         ]
         server.post_update(sybil, fakes, now=world.env.now)
         filtered = server.blocked_for_as(
-            scenario.isp_a.asn, now=world.env.now, min_votes=0.05
+            ISP_A_ASN, now=world.env.now, min_votes=0.05
         )
         assert not any("sybil-" in e.url for e in filtered)
         revoked = ReputationAnalyzer(server).enforce()
@@ -176,9 +179,9 @@ class TestDeploymentStory:
         scenario, server, _users, _log = story
         analytics = MeasurementAnalytics(server)
         per_as = analytics.reporters_per_as()
-        assert set(per_as) <= {scenario.isp_a.asn, scenario.isp_b.asn}
+        assert set(per_as) <= {ISP_A_ASN, ISP_B_ASN}
         assert all(count >= 1 for count in per_as.values())
-        summary_a = analytics.as_summary(scenario.isp_a.asn)
+        summary_a = analytics.as_summary(ISP_A_ASN)
         assert summary_a.blocked_urls >= 2  # youtube, porn, + the wave
         varied = analytics.mechanism_heterogeneity()
         # YouTube blocks differently on ISP-A (http) vs ISP-B (dns).

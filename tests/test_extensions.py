@@ -23,12 +23,13 @@ from repro.core import (
     ReputationAnalyzer,
     ServerDB,
 )
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import CLEAN_ASN, ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=888, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=888, with_proxy_fleet=False))
 
 
 def make_ctx(scenario, isp, name):
@@ -39,7 +40,7 @@ def make_ctx(scenario, isp, name):
 
 class TestDnsInjectionAndHoldOn:
     def add_injection_rule(self, scenario, hostname):
-        policy = scenario.world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = scenario.world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(domains={hostname}),
@@ -66,7 +67,7 @@ class TestDnsInjectionAndHoldOn:
         world.web.add_site("injected.example.com", location="us-east")
         world.web.add_page("http://injected.example.com/", size_bytes=20_000)
         self.add_injection_rule(scenario, "injected.example.com")
-        ctx = make_ctx(scenario, scenario.isp_a, "inj1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "inj1")
         result = world.run_process(
             PublicDnsTransport().fetch(
                 world, ctx, "http://injected.example.com/"
@@ -81,7 +82,7 @@ class TestDnsInjectionAndHoldOn:
         world.web.add_site("injected2.example.com", location="us-east")
         world.web.add_page("http://injected2.example.com/", size_bytes=20_000)
         self.add_injection_rule(scenario, "injected2.example.com")
-        ctx = make_ctx(scenario, scenario.isp_a, "inj2")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "inj2")
         result = world.run_process(
             HoldOnTransport().fetch(world, ctx, "http://injected2.example.com/")
         )
@@ -90,8 +91,8 @@ class TestDnsInjectionAndHoldOn:
 
     def test_hold_on_costs_extra_on_clean_paths(self, scenario):
         world = scenario.world
-        url = scenario.urls["small-unblocked"]
-        ctx = make_ctx(scenario, scenario.isp_a, "inj3")
+        url = scenario.spec.urls["small-unblocked"]
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "inj3")
         plain = world.run_process(PublicDnsTransport().fetch(world, ctx, url))
         held = world.run_process(HoldOnTransport().fetch(world, ctx, url))
         assert plain.ok and held.ok
@@ -108,7 +109,7 @@ class TestDnsInjectionAndHoldOn:
         client = CSawClient(
             world,
             "inj4",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports(
                 "inj4", include=["public-dns", "hold-on", "tor"]
             ),
@@ -155,7 +156,7 @@ class TestTorBridges:
         world = scenario.world
         scenario.tor.add_bridges(4, stream="br3")
         # The censor scrapes the consensus and blocks every public relay.
-        policy = world.network.ases[scenario.isp_b.asn].censor.policy
+        policy = world.network.ases[ISP_B_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(ips=set(scenario.tor.public_relay_ips())),
@@ -163,8 +164,8 @@ class TestTorBridges:
                 label="tor-blacklist",
             )
         )
-        url = scenario.urls["youtube"]
-        ctx = make_ctx(scenario, scenario.isp_b, "br-user")
+        url = scenario.spec.urls["youtube"]
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "br-user")
         public_tor = TorTransport(scenario.tor.client("public-user"))
         blocked = world.run_process(public_tor.fetch(world, ctx, url))
         assert blocked.failed
@@ -188,7 +189,7 @@ class TestServerSideFiltering:
 
     def test_direct_fetch_gets_451(self, scenario):
         url = self.add_geo_site(scenario, "geo1.example.com")
-        ctx = make_ctx(scenario, scenario.isp_clean, "geo1")
+        ctx = make_ctx(scenario, scenario.isps[CLEAN_ASN], "geo1")
         from repro.circumvent import DirectTransport
 
         result = scenario.world.run_process(
@@ -201,7 +202,7 @@ class TestServerSideFiltering:
         from repro.core.detection import measure_direct_path
 
         url = self.add_geo_site(scenario, "geo2.example.com")
-        ctx = make_ctx(scenario, scenario.isp_clean, "geo2")
+        ctx = make_ctx(scenario, scenario.isps[CLEAN_ASN], "geo2")
         outcome = scenario.world.run_process(
             measure_direct_path(scenario.world, ctx, url)
         )
@@ -211,8 +212,8 @@ class TestServerSideFiltering:
 
     def test_relay_outside_region_gets_content(self, scenario):
         url = self.add_geo_site(scenario, "geo3.example.com")
-        ctx = make_ctx(scenario, scenario.isp_clean, "geo3")
-        tor = scenario.tor_transport("geo3-tor")
+        ctx = make_ctx(scenario, scenario.isps[CLEAN_ASN], "geo3")
+        tor = scenario.make_transports("geo3-tor", include=["tor"])[0]
         result = scenario.world.run_process(
             tor.fetch(scenario.world, ctx, url)
         )
@@ -224,7 +225,7 @@ class TestServerSideFiltering:
         client = CSawClient(
             scenario.world,
             "geo4-client",
-            [scenario.isp_clean],
+            [scenario.isps[CLEAN_ASN]],
             transports=scenario.make_transports("geo4-client"),
         )
 
@@ -245,7 +246,7 @@ class TestServerSideFiltering:
 
 class TestFingerprinting:
     def test_flow_observation_gated(self, scenario):
-        box = scenario.world.network.ases[scenario.isp_a.asn].censor
+        box = scenario.world.network.ases[ISP_A_ASN].censor
         assert box.observe_traffic is False
         box.observe_flow(0.0, "1.2.3.4", "5.6.7.8")
         assert box.flows == []
@@ -257,19 +258,19 @@ class TestFingerprinting:
 
     def test_redundant_user_more_suspicious_than_plain(self, scenario):
         world = scenario.world
-        box = world.network.ases[scenario.isp_a.asn].censor
+        box = world.network.ases[ISP_A_ASN].censor
         box.observe_traffic = True
         box.flows.clear()
         relay_ips = set(scenario.tor.public_relay_ips())
 
         # A C-Saw user with aggressive redundancy on fresh URLs.
         csaw = CSawClient(
-            world, "fp-csaw", [scenario.isp_a],
+            world, "fp-csaw", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fp-csaw", include=["tor"]),
             config=CSawConfig(aggregation_enabled=False),
         )
         plain_client, plain_access = world.add_client(
-            "fp-plain", [scenario.isp_a]
+            "fp-plain", [scenario.isps[ISP_A_ASN]]
         )
         from repro.circumvent import DirectTransport
 
@@ -283,7 +284,7 @@ class TestFingerprinting:
                 yield response.measurement_process
                 ctx = world.new_ctx(plain_client, plain_access, stream="fp")
                 yield from direct.fetch(
-                    world, ctx, scenario.urls["small-unblocked"]
+                    world, ctx, scenario.spec.urls["small-unblocked"]
                 )
 
         world.run_process(drive())
@@ -296,12 +297,12 @@ class TestFingerprinting:
 
     def test_evaluate_precision_recall(self, scenario):
         world = scenario.world
-        box = world.network.ases[scenario.isp_a.asn].censor
+        box = world.network.ases[ISP_A_ASN].censor
         box.observe_traffic = True
         box.flows.clear()
         relay_ips = set(scenario.tor.public_relay_ips())
         csaw = CSawClient(
-            world, "fp2-csaw", [scenario.isp_a],
+            world, "fp2-csaw", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fp2-csaw", include=["tor"]),
             config=CSawConfig(aggregation_enabled=False),
         )
@@ -327,46 +328,48 @@ class TestMobility:
         server = ServerDB()
         # Someone on ISP-B already reported YouTube's blocking there.
         seeder = CSawClient(
-            world, "mob-seeder", [scenario.isp_b],
+            world, "mob-seeder", [scenario.isps[ISP_B_ASN]],
             transports=scenario.make_transports("mob-seeder"),
             server_db=server,
         )
         traveller = CSawClient(
-            world, "mob-traveller", [scenario.isp_a],
+            world, "mob-traveller", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("mob-traveller"),
             server_db=server,
         )
 
         def flow():
             yield from seeder.install()
-            response = yield from seeder.request(scenario.urls["youtube"])
+            response = yield from seeder.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from seeder.reporting.post_reports(seeder.new_ctx())
 
             yield from traveller.install()
             # Measure something on ISP-A so the local DB is non-empty.
-            r = yield from traveller.request(scenario.urls["small-unblocked"])
+            r = yield from traveller.request(scenario.spec.urls["small-unblocked"])
             yield r.measurement_process
             assert traveller.local_db.record_count > 0
             # The user moves onto ISP-B.
-            count = yield from traveller.migrate([scenario.isp_b])
+            count = yield from traveller.migrate([scenario.isps[ISP_B_ASN]])
             return count
 
         count = world.run_process(flow())
-        assert traveller.asn == scenario.isp_b.asn
+        assert traveller.asn == ISP_B_ASN
         assert traveller.local_db.record_count == 0  # old AS knowledge gone
         assert count >= 1  # pulled ISP-B's blocked list
-        assert traveller.global_view.lookup(scenario.urls["youtube"]) is not None
+        assert traveller.global_view.lookup(scenario.spec.urls["youtube"]) is not None
 
     def test_migrate_to_multihomed_enables_manager(self, scenario):
         client = CSawClient(
-            scenario.world, "mob-2", [scenario.isp_a],
+            scenario.world, "mob-2", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("mob-2"),
         )
         assert client.multihoming is None
 
         def flow():
-            yield from client.migrate([scenario.isp_a, scenario.isp_b])
+            yield from client.migrate(
+                [scenario.isps[ISP_A_ASN], scenario.isps[ISP_B_ASN]]
+            )
 
         scenario.world.run_process(flow())
         assert client.multihoming is not None
@@ -374,7 +377,7 @@ class TestMobility:
 
     def test_migrate_requires_providers(self, scenario):
         client = CSawClient(
-            scenario.world, "mob-3", [scenario.isp_a],
+            scenario.world, "mob-3", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("mob-3"),
         )
 

@@ -12,12 +12,13 @@ from repro.censor.actions import HttpAction, HttpVerdict, IpAction, IpVerdict
 from repro.censor.policy import Matcher, Rule
 from repro.core import BlockStatus, CSawClient, CSawConfig, ServerDB
 from repro.core.reporting import COLLECTOR_HOSTNAME, ensure_collector
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=1234, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=1234, with_proxy_fleet=False))
 
 
 def joined_request(world, client, url):
@@ -37,7 +38,7 @@ class TestCollectorBlocked:
         world = scenario.world
         server = ServerDB()
         client = CSawClient(
-            world, "fi-1", [scenario.isp_a],
+            world, "fi-1", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fi-1"),
             server_db=server,
         )
@@ -46,12 +47,12 @@ class TestCollectorBlocked:
             yield from client.install()
             # Now the censor blackholes the collector.
             collector_ip = world.network.hosts_by_name[COLLECTOR_HOSTNAME].ip
-            policy = world.network.ases[scenario.isp_a.asn].censor.policy
+            policy = world.network.ases[ISP_A_ASN].censor.policy
             policy.add_rule(
                 Rule(matcher=Matcher(ips={collector_ip}, domains={COLLECTOR_HOSTNAME}),
                      ip=IpVerdict(IpAction.DROP), label="block-collector")
             )
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             posted = yield from client.reporting.post_reports(client.new_ctx())
             # Circumvention still works; the report upload failed.
@@ -73,21 +74,23 @@ class TestCollectorBlocked:
         world = scenario.world
         server = ServerDB()
         client = CSawClient(
-            world, "fi-2", [scenario.isp_a],
+            world, "fi-2", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fi-2"),
             server_db=server,
-            report_transport=scenario.tor_transport("fi-2-report"),
+            report_transport=scenario.make_transports(
+                "fi-2-report", include=["tor"]
+            )[0],
         )
 
         def flow():
             yield from client.install()
             collector_ip = world.network.hosts_by_name[COLLECTOR_HOSTNAME].ip
-            policy = world.network.ases[scenario.isp_a.asn].censor.policy
+            policy = world.network.ases[ISP_A_ASN].censor.policy
             policy.add_rule(
                 Rule(matcher=Matcher(ips={collector_ip}),
                      ip=IpVerdict(IpAction.DROP), label="block-collector-2")
             )
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             posted = yield from client.reporting.post_reports(client.new_ctx())
             assert posted == 1  # Tor carried it out
@@ -105,38 +108,38 @@ class TestAllRelaysBlocked:
         relay_ips = set(scenario.tor.public_relay_ips()) | {
             p.ip for p in scenario.lantern.proxies
         }
-        policy = world.network.ases[scenario.isp_b.asn].censor.policy
+        policy = world.network.ases[ISP_B_ASN].censor.policy
         policy.add_rule(
             Rule(matcher=Matcher(ips=relay_ips), ip=IpVerdict(IpAction.DROP),
                  label="relay-blackout")
         )
         client = CSawClient(
-            world, "fi-3", [scenario.isp_b],
+            world, "fi-3", [scenario.isps[ISP_B_ASN]],
             transports=scenario.make_transports(
                 "fi-3", include=["tor", "lantern"]
             ),
         )
-        response = joined_request(world, client, scenario.urls["youtube"])
+        response = joined_request(world, client, scenario.spec.urls["youtube"])
         assert not response.ok
         assert response.status is BlockStatus.BLOCKED
         policy.remove_rules("relay-blackout")
 
     def test_lantern_rotation_recovers_from_single_proxy_block(self, scenario):
         world = scenario.world
-        lantern = scenario.lantern_transport("fi-4")
+        lantern = scenario.make_transports("fi-4", include=["lantern"])[0]
         victim = lantern._proxy()
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(matcher=Matcher(ips={victim.ip}), ip=IpVerdict(IpAction.RST),
                  label="one-proxy")
         )
-        client_host, access = world.add_client("fi-4c", [scenario.isp_a])
+        client_host, access = world.add_client("fi-4c", [scenario.isps[ISP_A_ASN]])
 
         def flow():
             ctx = world.new_ctx(client_host, access, stream="fi-4")
-            first = yield from lantern.fetch(world, ctx, scenario.urls["youtube"])
+            first = yield from lantern.fetch(world, ctx, scenario.spec.urls["youtube"])
             assert first.failed  # hit the blocked proxy, rotated away
-            second = yield from lantern.fetch(world, ctx, scenario.urls["youtube"])
+            second = yield from lantern.fetch(world, ctx, scenario.spec.urls["youtube"])
             assert second.ok
 
         world.run_process(flow())
@@ -151,17 +154,17 @@ class TestChurnUnderShortTtl:
         url = "http://flappy.example.com/"
         world.web.add_site("flappy.example.com", location="us-east")
         world.web.add_page(url, size_bytes=40_000)
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         rule = Rule(
             matcher=Matcher(domains={"flappy.example.com"}),
             http=HttpVerdict(
                 HttpAction.BLOCKPAGE_REDIRECT,
-                blockpage_ip=scenario.blockpage_a.ip,
+                blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
             ),
             label="flappy",
         )
         client = CSawClient(
-            world, "fi-5", [scenario.isp_a],
+            world, "fi-5", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fi-5"),
             config=CSawConfig(record_ttl=30.0, probe_probability=1.0),
         )
@@ -191,25 +194,27 @@ class TestChurnUnderShortTtl:
 class TestDegenerateConfigurations:
     def test_client_with_no_transports_still_serves_direct(self, scenario):
         client = CSawClient(
-            scenario.world, "fi-6", [scenario.isp_a], transports=[]
+            scenario.world, "fi-6", [scenario.isps[ISP_A_ASN]], transports=[]
         )
         ok = joined_request(
-            scenario.world, client, scenario.urls["small-unblocked"]
+            scenario.world, client, scenario.spec.urls["small-unblocked"]
         )
         assert ok.ok and ok.path == "direct"
-        blocked = joined_request(scenario.world, client, scenario.urls["youtube"])
+        blocked = joined_request(scenario.world, client, scenario.spec.urls["youtube"])
         # Nothing to circumvent with: the block page outcome is surfaced.
         assert blocked.status is BlockStatus.BLOCKED
 
     def test_world_without_public_resolver_still_detects(self):
-        scenario = pakistan_case_study(seed=4321, with_proxy_fleet=False)
+        scenario = ScenarioCompiler().compile(
+            pakistan_spec(seed=4321, with_proxy_fleet=False)
+        )
         world = scenario.world
         world.public_resolver = None  # no GDNS anywhere
         client = CSawClient(
-            world, "fi-7", [scenario.isp_a],
+            world, "fi-7", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("fi-7", include=["tor"]),
         )
         response = joined_request(
-            world, client, scenario.urls["table5/dns-servfail"]
+            world, client, scenario.spec.urls["table5/dns-servfail"]
         )
         assert response.status is BlockStatus.BLOCKED

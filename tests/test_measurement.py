@@ -12,7 +12,8 @@ from repro.core import (
     CSawConfig,
     ServerDB,
 )
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 def make_client(scenario, isp, name, config=None, include=None, server=None):
@@ -39,22 +40,22 @@ def request(scenario, client, url):
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=77, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=77, with_proxy_fleet=False))
 
 
 class TestUnknownUrlFlow:
     def test_unblocked_served_from_direct(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "m1")
-        response = request(scenario, client, scenario.urls["small-unblocked"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "m1")
+        response = request(scenario, client, scenario.spec.urls["small-unblocked"])
         assert response.ok
         assert response.path == "direct"
         assert response.status is BlockStatus.NOT_BLOCKED
-        status, _ = client.local_db.lookup(scenario.urls["small-unblocked"])
+        status, _ = client.local_db.lookup(scenario.spec.urls["small-unblocked"])
         assert status is BlockStatus.NOT_BLOCKED
 
     def test_blockpage_detected_and_circumvented(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "m2")
-        response = request(scenario, client, scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "m2")
+        response = request(scenario, client, scenario.spec.urls["youtube"])
         assert response.status is BlockStatus.BLOCKED
         assert BlockType.BLOCK_PAGE in response.stages
         assert response.ok
@@ -76,13 +77,13 @@ class TestUnknownUrlFlow:
                 "denied, they said!</p></body></html>"
             ),
         )
-        client = make_client(scenario, scenario.isp_a, "m3")
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "m3")
         response = request(scenario, client, "http://smallblog.example/")
         assert response.status is BlockStatus.NOT_BLOCKED
 
     def test_hard_failure_served_from_circumvention(self, scenario):
-        client = make_client(scenario, scenario.isp_b, "m4")
-        response = request(scenario, client, scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_B_ASN], "m4")
+        response = request(scenario, client, scenario.spec.urls["youtube"])
         assert response.status is BlockStatus.BLOCKED
         assert BlockType.DNS_REDIRECT in response.stages
         assert response.ok
@@ -90,84 +91,84 @@ class TestUnknownUrlFlow:
 
     def test_serial_mode_waits_for_detection(self, scenario):
         parallel_client = make_client(
-            scenario, scenario.isp_b, "m5p",
+            scenario, scenario.isps[ISP_B_ASN], "m5p",
             config=CSawConfig(redundancy_mode="parallel"),
             include=["tor"],
         )
         serial_client = make_client(
-            scenario, scenario.isp_b, "m5s",
+            scenario, scenario.isps[ISP_B_ASN], "m5s",
             config=CSawConfig(redundancy_mode="serial"),
             include=["tor"],
         )
-        p = request(scenario, parallel_client, scenario.urls["youtube"])
-        s = request(scenario, serial_client, scenario.urls["youtube"])
+        p = request(scenario, parallel_client, scenario.spec.urls["youtube"])
+        s = request(scenario, serial_client, scenario.spec.urls["youtube"])
         assert p.ok and s.ok
         # Serial pays detection time + circumvention time in sequence.
         assert s.plt > p.plt
 
     def test_record_written_once_measured(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "m6")
-        request(scenario, client, scenario.urls["youtube"])
-        status, record = client.local_db.lookup(scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "m6")
+        request(scenario, client, scenario.spec.urls["youtube"])
+        status, record = client.local_db.lookup(scenario.spec.urls["youtube"])
         assert status is BlockStatus.BLOCKED
         assert record.stages == [BlockType.BLOCK_PAGE]
 
 
 class TestBlockedUrlFlow:
     def test_second_access_uses_local_fix_fast(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "b1")
-        first = request(scenario, client, scenario.urls["youtube"])
-        second = request(scenario, client, scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "b1")
+        first = request(scenario, client, scenario.spec.urls["youtube"])
+        second = request(scenario, client, scenario.spec.urls["youtube"])
         assert second.path == "https"
         assert second.plt < first.plt
 
     def test_probe_probability_zero_never_probes(self, scenario):
         client = make_client(
-            scenario, scenario.isp_a, "b2",
+            scenario, scenario.isps[ISP_A_ASN], "b2",
             config=CSawConfig(probe_probability=0.0),
             include=["tor", "lantern"],  # no local fixes: probes possible
         )
-        request(scenario, client, scenario.urls["youtube"])
+        request(scenario, client, scenario.spec.urls["youtube"])
         for _ in range(10):
-            request(scenario, client, scenario.urls["youtube"])
+            request(scenario, client, scenario.spec.urls["youtube"])
         assert client.measurement.probes_launched == 0
 
     def test_probe_probability_one_always_probes(self, scenario):
         client = make_client(
-            scenario, scenario.isp_a, "b3",
+            scenario, scenario.isps[ISP_A_ASN], "b3",
             config=CSawConfig(probe_probability=1.0),
             include=["tor", "lantern"],
         )
-        request(scenario, client, scenario.urls["youtube"])
+        request(scenario, client, scenario.spec.urls["youtube"])
         for _ in range(5):
-            request(scenario, client, scenario.urls["youtube"])
+            request(scenario, client, scenario.spec.urls["youtube"])
         assert client.measurement.probes_launched == 5
 
     def test_local_fix_skips_probe(self, scenario):
         client = make_client(
-            scenario, scenario.isp_a, "b4",
+            scenario, scenario.isps[ISP_A_ASN], "b4",
             config=CSawConfig(probe_probability=1.0),
         )
-        request(scenario, client, scenario.urls["youtube"])
+        request(scenario, client, scenario.spec.urls["youtube"])
         for _ in range(5):
-            request(scenario, client, scenario.urls["youtube"])
+            request(scenario, client, scenario.spec.urls["youtube"])
         # https fix rides the direct path: measured by default, no probes.
         assert client.measurement.probes_launched == 0
 
     def test_whitelisting_detected_by_probe(self, scenario):
         client = make_client(
-            scenario, scenario.isp_a, "b5",
+            scenario, scenario.isps[ISP_A_ASN], "b5",
             config=CSawConfig(probe_probability=1.0),
             include=["tor", "lantern"],
         )
-        request(scenario, client, scenario.urls["youtube"])
+        request(scenario, client, scenario.spec.urls["youtube"])
         # The censor lifts the block (Blocked -> Unblocked churn).
-        policy = scenario.world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = scenario.world.network.ases[ISP_A_ASN].censor.policy
         removed = policy.remove_rules("youtube")
         assert removed == 1
-        response = request(scenario, client, scenario.urls["youtube"])
+        response = request(scenario, client, scenario.spec.urls["youtube"])
         assert response.status is BlockStatus.NOT_BLOCKED
-        status, _ = client.local_db.lookup(scenario.urls["youtube"])
+        status, _ = client.local_db.lookup(scenario.spec.urls["youtube"])
         assert status is BlockStatus.NOT_BLOCKED
         # Restore for other tests sharing the fixture world.
         from repro.censor.actions import HttpAction, HttpVerdict
@@ -178,7 +179,7 @@ class TestBlockedUrlFlow:
                 matcher=Matcher(domains={"youtube.com"}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
                 label="youtube",
             )
@@ -188,15 +189,15 @@ class TestBlockedUrlFlow:
 class TestChurn:
     def test_ttl_expiry_remeasures(self, scenario):
         config = CSawConfig(record_ttl=50.0)
-        client = make_client(scenario, scenario.isp_a, "c1", config=config)
-        request(scenario, client, scenario.urls["small-unblocked"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "c1", config=config)
+        request(scenario, client, scenario.spec.urls["small-unblocked"])
         env = scenario.world.env
         env.run(until=env.now + 100)  # let the record expire
-        status, _ = client.local_db.lookup(scenario.urls["small-unblocked"])
+        status, _ = client.local_db.lookup(scenario.spec.urls["small-unblocked"])
         assert status is BlockStatus.NOT_MEASURED
 
     def test_unblocked_to_blocked_caught_inline(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "c2")
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "c2")
         url = "http://fresh-site.example/"
         scenario.world.web.add_site("fresh-site.example", location="us-east")
         scenario.world.web.add_page(url, size_bytes=40_000)
@@ -206,13 +207,13 @@ class TestChurn:
         from repro.censor.actions import HttpAction, HttpVerdict
         from repro.censor.policy import Matcher, Rule
 
-        policy = scenario.world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = scenario.world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(domains={"fresh-site.example"}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
             )
         )
@@ -226,21 +227,21 @@ class TestChurn:
 class TestGlobalViewIntegration:
     def test_global_entry_skips_local_measurement(self, scenario):
         server = ServerDB()
-        reporter = make_client(scenario, scenario.isp_a, "g1", server=server)
-        consumer = make_client(scenario, scenario.isp_a, "g2", server=server)
+        reporter = make_client(scenario, scenario.isps[ISP_A_ASN], "g1", server=server)
+        consumer = make_client(scenario, scenario.isps[ISP_A_ASN], "g2", server=server)
 
         def flow():
             yield from reporter.install()
             yield from consumer.install()
             # Reporter discovers the blocking and posts it.
-            response = yield from reporter.request(scenario.urls["youtube"])
+            response = yield from reporter.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from reporter.reporting.post_reports(reporter.new_ctx())
             yield from consumer.reporting.download_blocked_list(consumer.new_ctx())
             # The consumer now knows without measuring first.
-            entry = consumer.global_view.lookup(scenario.urls["youtube"])
+            entry = consumer.global_view.lookup(scenario.spec.urls["youtube"])
             assert entry is not None
-            second = yield from consumer.request(scenario.urls["youtube"])
+            second = yield from consumer.request(scenario.spec.urls["youtube"])
             yield second.measurement_process
             return second
 
@@ -254,7 +255,7 @@ class TestGlobalViewIntegration:
         assert response.path == "https"
 
     def test_measurement_module_shares_client_global_view(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "g3")
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "g3")
         assert client.measurement.global_view is client.global_view
 
 
@@ -265,8 +266,8 @@ class TestMeasurementProcessJoin:
     def test_join_before_completion_resumes_after_local_db_write(
         self, scenario
     ):
-        client = make_client(scenario, scenario.isp_a, "j1")
-        url = scenario.urls["table5/tcp-ip"]
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "j1")
+        url = scenario.spec.urls["table5/tcp-ip"]
         env = scenario.world.env
 
         def proc():
@@ -288,8 +289,8 @@ class TestMeasurementProcessJoin:
         assert served_at < record.measured_at <= env.now
 
     def test_join_after_completion_returns_at_once_with_none(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "j2")
-        response = request(scenario, client, scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "j2")
+        response = request(scenario, client, scenario.spec.urls["youtube"])
         process = response.measurement_process
         assert not process.is_alive
         env = scenario.world.env
@@ -306,11 +307,11 @@ class TestMeasurementProcessJoin:
             def __call__(self, event):
                 pass
 
-        client = make_client(scenario, scenario.isp_a, "j3")
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "j3")
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            response = request(scenario, client, scenario.urls["youtube"])
+            response = request(scenario, client, scenario.spec.urls["youtube"])
             marker = Marker()
             response.trace.subscribe(marker)
             trace_alive = weakref.ref(marker)

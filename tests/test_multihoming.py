@@ -4,12 +4,13 @@ import pytest
 
 from repro.core import BlockStatus, BlockType, CSawClient, CSawConfig
 from repro.core.multihoming import MultihomingManager
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=99, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=99, with_proxy_fleet=False))
 
 
 def drive(scenario, gen):
@@ -19,7 +20,7 @@ def drive(scenario, gen):
 class TestDetection:
     def test_single_homed_never_flags(self, scenario):
         world = scenario.world
-        client, access = world.add_client("mh-single", [scenario.isp_a])
+        client, access = world.add_client("mh-single", [scenario.isps[ISP_A_ASN]])
         manager = MultihomingManager(world, access, rng_stream="mh1")
         ctx = world.new_ctx(client, access)
 
@@ -29,12 +30,12 @@ class TestDetection:
 
         drive(scenario, probe_many())
         assert not manager.is_multihomed
-        assert manager.observed_asns == {scenario.isp_a.asn}
+        assert manager.observed_asns == {ISP_A_ASN}
 
     def test_multihomed_detected_within_window(self, scenario):
         world = scenario.world
         client, access = world.add_client(
-            "mh-dual", [scenario.isp_a, scenario.isp_b]
+            "mh-dual", [scenario.isps[ISP_A_ASN], scenario.isps[ISP_B_ASN]]
         )
         manager = MultihomingManager(world, access, rng_stream="mh2")
         ctx = world.new_ctx(client, access)
@@ -45,11 +46,11 @@ class TestDetection:
 
         drive(scenario, probe_many())
         assert manager.is_multihomed
-        assert manager.observed_asns == {scenario.isp_a.asn, scenario.isp_b.asn}
+        assert manager.observed_asns == {ISP_A_ASN, ISP_B_ASN}
 
     def test_window_validation(self, scenario):
         world = scenario.world
-        _client, access = world.add_client("mh-w", [scenario.isp_a])
+        _client, access = world.add_client("mh-w", [scenario.isps[ISP_A_ASN]])
         with pytest.raises(ValueError):
             MultihomingManager(world, access, window=1)
 
@@ -58,7 +59,7 @@ class TestPinning:
     def make_manager(self, scenario, name):
         world = scenario.world
         client, access = world.add_client(
-            name, [scenario.isp_a, scenario.isp_b]
+            name, [scenario.isps[ISP_A_ASN], scenario.isps[ISP_B_ASN]]
         )
         manager = MultihomingManager(world, access, rng_stream=name)
         ctx = world.new_ctx(client, access)
@@ -102,7 +103,7 @@ class TestPinning:
         from repro.core.localdb import LocalDatabase
 
         world = scenario.world
-        _client, access = world.add_client("pin3", [scenario.isp_a])
+        _client, access = world.add_client("pin3", [scenario.isps[ISP_A_ASN]])
         manager = MultihomingManager(world, access, rng_stream="pin3")
         db = LocalDatabase(ttl=1e9)
         db.record_measurement(
@@ -125,20 +126,20 @@ class TestEndToEnd:
         from repro.censor.actions import HttpAction, HttpVerdict
         from repro.censor.policy import Matcher, Rule
 
-        policy_a = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy_a = world.network.ases[ISP_A_ASN].censor.policy
         policy_a.add_rule(
             Rule(
                 matcher=Matcher(domains={"only-a-blocks.example"}),
                 http=HttpVerdict(
                     HttpAction.BLOCKPAGE_REDIRECT,
-                    blockpage_ip=scenario.blockpage_a.ip,
+                    blockpage_ip=scenario.blockpages["block.isp-a.pk"].ip,
                 ),
             )
         )
         client = CSawClient(
             world,
             "mh-e2e",
-            [scenario.isp_a, scenario.isp_b],
+            [scenario.isps[ISP_A_ASN], scenario.isps[ISP_B_ASN]],
             transports=scenario.make_transports("mh-e2e"),
             config=CSawConfig(probe_probability=1.0),
         )

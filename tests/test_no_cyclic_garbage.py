@@ -22,7 +22,8 @@ from repro.core.detection import measure_direct_path
 from repro.core.fleet import run_fleet_storm
 from repro.scenarios import ScenarioRunner, load_spec, shipped_packs
 from repro.workloads.pilot import PilotConfig, run_pilot
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 def cyclic_garbage(entry_point) -> int:
@@ -64,10 +65,12 @@ def test_fleet_storm():
 
 def test_direct_path_detection():
     def detect_all():
-        scenario = pakistan_case_study(seed=5, with_proxy_fleet=False)
+        scenario = ScenarioCompiler().compile(
+            pakistan_spec(seed=5, with_proxy_fleet=False)
+        )
         world = scenario.world
-        host, access = world.add_client("gc-detect", [scenario.isp_a])
-        for url in scenario.urls.values():
+        host, access = world.add_client("gc-detect", [scenario.isps[ISP_A_ASN]])
+        for url in scenario.spec.urls.values():
             ctx = world.new_ctx(host, access, stream=f"gc/{url}")
             # No trace passed: the outcome gets its own default trace.
             world.run_process(measure_direct_path(world, ctx, url))
@@ -93,18 +96,20 @@ def test_request_per_transport(transport, mode):
     paths = []
 
     def request():
-        scenario = pakistan_case_study(seed=5, with_proxy_fleet=False)
+        scenario = ScenarioCompiler().compile(
+            pakistan_spec(seed=5, with_proxy_fleet=False)
+        )
         client = CSawClient(
             scenario.world,
             "gc",
-            [scenario.isp_a],
+            [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("gc", include=[transport]),
             config=CSawConfig(trace_mode=mode),
         )
 
         def proc():
             response = yield from client.request(
-                scenario.urls[TRANSPORT_URLS[transport]]
+                scenario.spec.urls[TRANSPORT_URLS[transport]]
             )
             yield response.measurement_process
             paths.append(response.path)

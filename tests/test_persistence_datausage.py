@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.core import BlockStatus, BlockType, CSawClient, CSawConfig, LocalDatabase
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 class FakeClock:
@@ -70,7 +71,9 @@ class TestSnapshotRestore:
 class TestDataUsage:
     @pytest.fixture()
     def scenario(self):
-        return pakistan_case_study(seed=2468, with_proxy_fleet=False)
+        return ScenarioCompiler().compile(
+            pakistan_spec(seed=2468, with_proxy_fleet=False)
+        )
 
     def run(self, scenario, client, url, times=1):
         def proc():
@@ -82,10 +85,10 @@ class TestDataUsage:
 
     def test_redundant_bytes_counted_on_unblocked_discovery(self, scenario):
         client = CSawClient(
-            scenario.world, "du-1", [scenario.isp_a],
+            scenario.world, "du-1", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("du-1", include=["tor"]),
         )
-        self.run(scenario, client, scenario.urls["small-unblocked"])
+        self.run(scenario, client, scenario.spec.urls["small-unblocked"])
         stats = client.stats()
         # The Tor duplicate fetched the whole page for nothing.
         assert stats["redundant_data_bytes"] >= 95_000
@@ -93,33 +96,33 @@ class TestDataUsage:
 
     def test_steady_state_has_no_redundant_bytes(self, scenario):
         client = CSawClient(
-            scenario.world, "du-2", [scenario.isp_a],
+            scenario.world, "du-2", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("du-2", include=["tor"]),
         )
-        self.run(scenario, client, scenario.urls["small-unblocked"])
+        self.run(scenario, client, scenario.spec.urls["small-unblocked"])
         after_discovery = client.measurement.redundant_bytes
-        self.run(scenario, client, scenario.urls["small-unblocked"], times=5)
+        self.run(scenario, client, scenario.spec.urls["small-unblocked"], times=5)
         # Selective redundancy: known-unblocked URLs go direct only.
         assert client.measurement.redundant_bytes == after_discovery
 
     def test_bytes_attributed_per_path(self, scenario):
         client = CSawClient(
-            scenario.world, "du-3", [scenario.isp_a],
+            scenario.world, "du-3", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("du-3"),
         )
-        self.run(scenario, client, scenario.urls["youtube"], times=3)
+        self.run(scenario, client, scenario.spec.urls["youtube"], times=3)
         by_path = client.measurement.bytes_by_path
         assert by_path.get("https", 0) >= 2 * 360_000  # the local fix
         assert by_path.get("direct", 0) > 0
 
     def test_developing_region_preset_reduces_duplicate_traffic(self, scenario):
         default_client = CSawClient(
-            scenario.world, "du-4", [scenario.isp_a],
+            scenario.world, "du-4", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("du-4", include=["tor"]),
             config=CSawConfig(),
         )
         frugal_client = CSawClient(
-            scenario.world, "du-5", [scenario.isp_a],
+            scenario.world, "du-5", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("du-5", include=["tor"]),
             config=CSawConfig.developing_region(),
         )

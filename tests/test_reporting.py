@@ -11,22 +11,25 @@ from repro.core import (
     ServerDB,
 )
 from repro.core.reporting import GlobalView, ensure_collector
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=101, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=101, with_proxy_fleet=False))
 
 
 def make_client(scenario, name, server, isp=None, report_via_tor=False, **kw):
     report_transport = (
-        scenario.tor_transport(f"report/{name}") if report_via_tor else None
+        scenario.make_transports(f"report/{name}", include=["tor"])[0]
+        if report_via_tor
+        else None
     )
     return CSawClient(
         scenario.world,
         name,
-        [isp or scenario.isp_a],
+        [isp or scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports(name),
         server_db=server,
         report_transport=report_transport,
@@ -102,14 +105,14 @@ class TestReportLifecycle:
 
         def flow():
             yield from client.install()
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             accepted = yield from client.reporting.post_reports(client.new_ctx())
             return accepted
 
         accepted = scenario.world.run_process(flow())
         assert accepted == 1
-        entry = server.entry(scenario.urls["youtube"], scenario.isp_a.asn)
+        entry = server.entry(scenario.spec.urls["youtube"], ISP_A_ASN)
         assert entry is not None
         assert BlockType.BLOCK_PAGE in entry.stages
         assert server.update_count == 1
@@ -120,7 +123,7 @@ class TestReportLifecycle:
 
         def flow():
             yield from client.install()
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             first = yield from client.reporting.post_reports(client.new_ctx())
             second = yield from client.reporting.post_reports(client.new_ctx())
@@ -137,7 +140,7 @@ class TestReportLifecycle:
         def time_post(client, url_key):
             def flow():
                 yield from client.install()
-                response = yield from client.request(scenario.urls[url_key])
+                response = yield from client.request(scenario.spec.urls[url_key])
                 yield response.measurement_process
                 start = scenario.world.env.now
                 yield from client.reporting.post_reports(client.new_ctx())
@@ -157,7 +160,7 @@ class TestReportLifecycle:
 
         def flow():
             yield from client.install()
-            response = yield from client.request(scenario.urls["youtube"])
+            response = yield from client.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
 
         world.run_process(flow())
@@ -184,14 +187,14 @@ class TestDeltaSyncEndToEnd:
 
         def flow():
             yield from alice.install()
-            response = yield from alice.request(scenario.urls["youtube"])
+            response = yield from alice.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from alice.reporting.post_reports(alice.new_ctx())
             yield from bob.install()  # full snapshot: one entry
             # Nothing changed since: an empty delta.
             yield from bob.reporting.download_blocked_list(bob.new_ctx())
             # Alice reports a second URL; bob picks it up incrementally.
-            response = yield from alice.request(scenario.urls["porn"])
+            response = yield from alice.request(scenario.spec.urls["porn"])
             yield response.measurement_process
             yield from alice.reporting.post_reports(alice.new_ctx())
             yield from bob.reporting.download_blocked_list(bob.new_ctx())
@@ -202,9 +205,9 @@ class TestDeltaSyncEndToEnd:
         assert rep.delta_syncs == 2
         assert len(bob.global_view) == 2
         assert bob.global_view.version == server.version_for_as(
-            scenario.isp_a.asn
+            ISP_A_ASN
         )
-        assert bob.global_view.synced_asn == scenario.isp_a.asn
+        assert bob.global_view.synced_asn == ISP_A_ASN
         # Rows on the wire: 1 (full) + 0 (empty delta) + 2 (the new entry,
         # plus the old one whose vote mass moved when alice's d doubled).
         assert rep.sync_rows_received == 3
@@ -221,17 +224,17 @@ class TestDeltaSyncEndToEnd:
 
         def flow():
             yield from alice.install()
-            response = yield from alice.request(scenario.urls["youtube"])
+            response = yield from alice.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from alice.reporting.post_reports(alice.new_ctx())
             yield from bob.install()
             yield from bob.reporting.download_blocked_list(bob.new_ctx())
-            yield from bob.migrate([scenario.isp_b])
+            yield from bob.migrate([scenario.isps[ISP_B_ASN]])
 
         world.run_process(flow())
         assert bob.reporting.delta_syncs == 1  # the pre-migration pull
         assert bob.reporting.full_syncs == 2  # install + post-migration
-        assert bob.global_view.synced_asn == scenario.isp_b.asn
+        assert bob.global_view.synced_asn == ISP_B_ASN
 
 
 class TestCrowdsourcing:
@@ -245,12 +248,12 @@ class TestCrowdsourcing:
 
         def flow():
             yield from alice.install()
-            response = yield from alice.request(scenario.urls["youtube"])
+            response = yield from alice.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from alice.reporting.post_reports(alice.new_ctx())
             # Bob installs afterwards: registration pulls the blocked list.
             yield from bob.install()
-            bob_response = yield from bob.request(scenario.urls["youtube"])
+            bob_response = yield from bob.request(scenario.spec.urls["youtube"])
             yield bob_response.measurement_process
             return bob_response
 
@@ -261,17 +264,17 @@ class TestCrowdsourcing:
 
     def test_cross_as_entries_not_shared(self, scenario):
         server = ServerDB()
-        alice = make_client(scenario, "alice-a", server, isp=scenario.isp_a)
-        bob = make_client(scenario, "bob-b", server, isp=scenario.isp_b)
+        alice = make_client(scenario, "alice-a", server, isp=scenario.isps[ISP_A_ASN])
+        bob = make_client(scenario, "bob-b", server, isp=scenario.isps[ISP_B_ASN])
         world = scenario.world
 
         def flow():
             yield from alice.install()
-            response = yield from alice.request(scenario.urls["youtube"])
+            response = yield from alice.request(scenario.spec.urls["youtube"])
             yield response.measurement_process
             yield from alice.reporting.post_reports(alice.new_ctx())
             yield from bob.install()
 
         world.run_process(flow())
         # Bob is on ISP-B; Alice's ISP-A entry must not leak to him.
-        assert bob.global_view.lookup(scenario.urls["youtube"]) is None
+        assert bob.global_view.lookup(scenario.spec.urls["youtube"]) is None

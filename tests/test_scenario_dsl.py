@@ -1,8 +1,8 @@
-"""The scenario DSL: spec validation, the TOML subset parser, the
-compiler, and — the redesign's contract — golden equivalence: the
-spec-backed legacy wrappers must rebuild the pre-redesign worlds
-bit-for-bit under the same seed (``tests/data/scenario_golden.json``
-was captured from the imperative builders before the refactor)."""
+"""The scenario DSL: spec validation, TOML loading, the compiler, and —
+the redesign's contract — golden equivalence: the canonical specs must
+compile to the pre-redesign worlds bit-for-bit under the same seed
+(``tests/data/scenario_golden.json`` was captured from the imperative
+builders before the refactor)."""
 
 import dataclasses
 import warnings
@@ -24,7 +24,7 @@ from repro.scenarios import (
     pakistan_spec,
     shipped_packs,
 )
-from repro.scenarios.spec import _parse_toml_subset, load_toml_file
+from repro.scenarios.spec import load_toml_file
 
 
 MINIMAL = {
@@ -41,24 +41,24 @@ def minimal(**overrides):
     return data
 
 
-# -- golden equivalence (satellite: legacy entrypoints are spec-backed) --------
+# -- golden equivalence (the canonical specs) ---------------------------------
 
 
 class TestGoldenEquivalence:
-    """Same seed, same world: wrappers vs the pre-redesign builders."""
+    """Same seed, same world: compiled specs vs the pre-redesign builders."""
 
     @pytest.fixture(autouse=True)
     def _no_warnings(self):
-        # The compatibility wrappers must be silent — no
+        # Compiling and running the specs is silent — no
         # DeprecationWarning, no FutureWarning, nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             yield
 
-    def test_pakistan_case_study_bit_identical(self):
+    def test_pakistan_spec_bit_identical(self):
         assert case_study_fingerprint() == load_golden()["case_study"]
 
-    def test_centralized_country_bit_identical(self):
+    def test_centralized_spec_bit_identical(self):
         assert centralized_fingerprint() == load_golden()["centralized"]
 
     def test_blocking_wave_bit_identical(self):
@@ -144,63 +144,15 @@ class TestSpecValidation:
         assert dataclasses.replace(reseeded, seed=spec.seed) == spec
 
 
-# -- TOML subset parser --------------------------------------------------------
+# -- TOML loading --------------------------------------------------------------
 
 
 class TestTomlSubset:
-    @pytest.mark.parametrize(
-        "name", [name for name, _ in shipped_packs()]
-    )
-    def test_agrees_with_tomllib_on_shipped_packs(self, name):
-        tomllib = pytest.importorskip("tomllib")
-        path = dict(shipped_packs())[name]
-        with open(path, "rb") as fh:
-            reference = tomllib.load(fh)
-        with open(path, "r", encoding="utf-8") as fh:
-            ours = _parse_toml_subset(fh.read(), path)
-        assert ours == reference
-
-    def test_value_types(self, tmp_path):
-        path = tmp_path / "types.toml"
-        path.write_text(
-            'name = "x"\n'
-            "n = 42\n"
-            "big = 100_000\n"
-            "rate = 2.5e-3\n"
-            "on = true\n"
-            "off = false\n"
-            'tags = ["a", "b"]\n'
-            "nums = [1, 2,\n"
-            "        3]\n"
-            'comment = "kept # inside"  # stripped outside\n'
-        )
-        data = _parse_toml_subset(path.read_text(), str(path))
-        assert data == {
-            "name": "x", "n": 42, "big": 100000, "rate": 2.5e-3,
-            "on": True, "off": False, "tags": ["a", "b"],
-            "nums": [1, 2, 3], "comment": "kept # inside",
-        }
-
-    def test_array_of_tables_and_nested_sections(self, tmp_path):
-        text = (
-            "[[sites]]\n"
-            'hostname = "a.example"\n'
-            "[[sites]]\n"
-            'hostname = "b.example"\n'
-            "[sites.extra]\n"
-            "flag = true\n"
-            "[workload]\n"
-            "interval = 10.0\n"
-        )
-        data = _parse_toml_subset(text, "<test>")
-        assert [s["hostname"] for s in data["sites"]] == ["a.example", "b.example"]
-        # dotted [section] after [[sites]] attaches to the *last* element
-        assert data["sites"][1]["extra"] == {"flag": True}
-        assert data["workload"] == {"interval": 10.0}
-
     def test_unparseable_line_raises(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text("a = 1\nb = {inline =\n")
         with pytest.raises(SpecError, match="line 2"):
-            _parse_toml_subset('a = 1\nb = {inline = "tables"}\n', "<test>")
+            load_toml_file(str(path))
 
 
 # -- compiler ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.analysis import cdf_points, mean, median, percentile, summarize
 from repro.analysis.robustness import SeedSweep, across_seeds, claim_holds
 from repro.analysis.tables import format_seconds, render_table
 from repro.core import BlockStatus, BlockType, CSawClient, LocalDatabase
-from repro.workloads.scenarios import centralized_country, pakistan_case_study
+from repro.scenarios import ScenarioCompiler, centralized_spec
 
 
 class TestStats:
@@ -93,23 +93,27 @@ class TestRobustnessHarness:
             claim_holds(lambda s: s, lambda v: True, [])
 
 
-class TestCentralizedScenario:
+class TestCentralizedSpec:
+    """Every ISP of ``centralized_spec`` shares the ``national`` policy."""
+
     def test_all_isps_share_one_policy(self):
-        scenario = centralized_country(seed=9, n_isps=4)
-        boxes = [isp.censor for isp in scenario.isps]
-        assert all(box.policy is scenario.policy for box in boxes)
+        scenario = ScenarioCompiler().compile(centralized_spec(seed=9, n_isps=4))
+        isps = [scenario.isps[a.asn] for a in scenario.spec.ases]
+        boxes = [isp.censor for isp in isps]
+        assert all(box.policy is scenario.policies["national"] for box in boxes)
 
     def test_same_blocking_seen_from_every_isp(self):
-        scenario = centralized_country(seed=9, n_isps=3)
+        scenario = ScenarioCompiler().compile(centralized_spec(seed=9, n_isps=3))
+        isps = [scenario.isps[a.asn] for a in scenario.spec.ases]
         world = scenario.world
         from repro.core.detection import measure_direct_path
 
         stage_sets = []
-        for isp in scenario.isps:
+        for isp in isps:
             client, access = world.add_client(f"cz-{isp.asn}", [isp])
             ctx = world.new_ctx(client, access, stream=f"cz/{isp.asn}")
             outcome = world.run_process(
-                measure_direct_path(world, ctx, scenario.urls["youtube"])
+                measure_direct_path(world, ctx, scenario.spec.urls["youtube"])
             )
             stage_sets.append(tuple(s.value for s in outcome.stages))
         # Centralized censorship: identical symptoms everywhere.
@@ -117,19 +121,23 @@ class TestCentralizedScenario:
         assert stage_sets[0] == ("block-page",)
 
     def test_csaw_converges_to_same_fix_on_every_isp(self):
-        scenario = centralized_country(seed=10, n_isps=2)
+        scenario = ScenarioCompiler().compile(centralized_spec(seed=10, n_isps=2))
+        isps = [scenario.isps[a.asn] for a in scenario.spec.ases]
         world = scenario.world
         paths = []
-        for isp in scenario.isps:
+        for isp in isps:
             client = CSawClient(
                 world, f"cz-user-{isp.asn}", [isp],
-                transports=scenario.make_transports(f"cz-user-{isp.asn}"),
+                transports=scenario.make_transports(
+                    f"cz-user-{isp.asn}",
+                    include=["public-dns", "https", "tor", "lantern"],
+                ),
             )
 
             def flow(c=client):
                 last = None
                 for _ in range(3):
-                    response = yield from c.request(scenario.urls["youtube"])
+                    response = yield from c.request(scenario.spec.urls["youtube"])
                     yield response.measurement_process
                     last = response
                 return last
@@ -138,17 +146,18 @@ class TestCentralizedScenario:
         assert paths == ["https", "https"]
 
     def test_policy_change_affects_all_isps_at_once(self):
-        scenario = centralized_country(seed=11, n_isps=3)
-        removed = scenario.policy.remove_rules("national-youtube")
+        scenario = ScenarioCompiler().compile(centralized_spec(seed=11, n_isps=3))
+        isps = [scenario.isps[a.asn] for a in scenario.spec.ases]
+        removed = scenario.policies["national"].remove_rules("national-youtube")
         assert removed == 1
         world = scenario.world
         from repro.core.detection import measure_direct_path
 
-        for isp in scenario.isps:
+        for isp in isps:
             client, access = world.add_client(f"cz2-{isp.asn}", [isp])
             ctx = world.new_ctx(client, access, stream=f"cz2/{isp.asn}")
             outcome = world.run_process(
-                measure_direct_path(world, ctx, scenario.urls["youtube"])
+                measure_direct_path(world, ctx, scenario.spec.urls["youtube"])
             )
             assert outcome.status is BlockStatus.NOT_BLOCKED
 

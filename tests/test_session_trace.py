@@ -14,7 +14,8 @@ from repro.core.trace import (
     STAGE_SESSION,
     transport_stage,
 )
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 
 def make_client(scenario, isp, name, config=None):
@@ -38,7 +39,7 @@ def request(scenario, client, url):
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=83, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=83, with_proxy_fleet=False))
 
 
 def assert_well_formed(trace, url):
@@ -56,8 +57,8 @@ def assert_well_formed(trace, url):
 
 class TestServedResponseTraces:
     def test_unknown_flow_unblocked(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "tr1")
-        url = scenario.urls["small-unblocked"]
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "tr1")
+        url = scenario.spec.urls["small-unblocked"]
         response = request(scenario, client, url)
         assert response.ok
         assert_well_formed(response.trace, url)
@@ -66,8 +67,8 @@ class TestServedResponseTraces:
         assert STAGE_LOCAL_DNS in sequence
 
     def test_unknown_flow_circumvented_has_transport_events(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "tr2")
-        url = scenario.urls["youtube"]
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "tr2")
+        url = scenario.spec.urls["youtube"]
         response = request(scenario, client, url)
         assert response.status is BlockStatus.BLOCKED
         assert response.path != "direct"
@@ -82,8 +83,8 @@ class TestServedResponseTraces:
         assert (winner, "result") in kinds
 
     def test_blocked_flow_trace_is_fresh_per_request(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "tr3")
-        url = scenario.urls["youtube"]
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "tr3")
+        url = scenario.spec.urls["youtube"]
         first = request(scenario, client, url)
         second = request(scenario, client, url)  # now known-blocked
         assert second.status is BlockStatus.BLOCKED
@@ -95,8 +96,8 @@ class TestServedResponseTraces:
         )
 
     def test_unblocked_flow_measures_direct(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "tr4")
-        url = scenario.urls["small-unblocked"]
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "tr4")
+        url = scenario.spec.urls["small-unblocked"]
         request(scenario, client, url)
         second = request(scenario, client, url)  # now known-unblocked
         assert second.status is BlockStatus.NOT_BLOCKED
@@ -104,9 +105,9 @@ class TestServedResponseTraces:
         assert STAGE_LOCAL_DNS in second.trace.stage_sequence()
 
     def test_breakdown_aggregates_to_client_stats(self, scenario):
-        client = make_client(scenario, scenario.isp_a, "tr5")
-        request(scenario, client, scenario.urls["small-unblocked"])
-        request(scenario, client, scenario.urls["youtube"])
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], "tr5")
+        request(scenario, client, scenario.spec.urls["small-unblocked"])
+        request(scenario, client, scenario.spec.urls["youtube"])
         stats = client.stats()
         assert stats["sessions_completed"] == 2
         breakdown = stats["plt_breakdown"]
@@ -117,11 +118,11 @@ class TestServedResponseTraces:
 
 class TestSessionHooks:
     def _session(self, scenario, name, url):
-        client = make_client(scenario, scenario.isp_a, name)
+        client = make_client(scenario, scenario.isps[ISP_A_ASN], name)
         return client, client.measurement.new_session(url)
 
     def test_subscribe_sees_every_event(self, scenario):
-        url = scenario.urls["small-unblocked"]
+        url = scenario.spec.urls["small-unblocked"]
         client, session = self._session(scenario, "hk1", url)
         seen = []
         session.subscribe(seen.append)
@@ -130,7 +131,7 @@ class TestSessionHooks:
         assert seen[0].stage == STAGE_SESSION and seen[0].kind == "begin"
 
     def test_cancel_stops_the_redundancy_wait(self, scenario):
-        url = scenario.urls["table5/tcp-ip"]  # direct path hangs
+        url = scenario.spec.urls["table5/tcp-ip"]  # direct path hangs
         client, session = self._session(scenario, "hk2", url)
         session.cancel()
         world = scenario.world
@@ -144,7 +145,7 @@ class TestSessionHooks:
         assert world.env.now == pytest.approx(t0)
 
     def test_deadline_bounds_the_redundancy_wait(self, scenario):
-        url = scenario.urls["table5/tcp-ip"]  # direct path hangs
+        url = scenario.spec.urls["table5/tcp-ip"]  # direct path hangs
         client, session = self._session(scenario, "hk3", url)
         session.set_deadline(0.5)
         world = scenario.world

@@ -20,7 +20,8 @@ from repro.simnet.dns import DnsError, DnsTimeout, NxDomain, Refused, ServFail
 from repro.simnet.http import HttpTimeout
 from repro.simnet.tcp import ConnectionReset, ConnectTimeout
 from repro.simnet.tls import TlsReset, TlsTimeout
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN, ISP_B_ASN
 
 # (constructor, expected BlockType, expected failure class)
 _CASES = [
@@ -149,7 +150,7 @@ _TRANSITIONS = [
 
 @pytest.fixture(scope="module")
 def scenario():
-    return pakistan_case_study(seed=29, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=29, with_proxy_fleet=False))
 
 
 def _detect(scenario, isp, url):
@@ -167,7 +168,8 @@ class TestTransitionTable:
         ids=[f"{isp}-{key}" for key, isp, *_rest in _TRANSITIONS],
     )
     def test_outcome_and_trace(self, scenario, key, isp, status, stages, sequence):
-        outcome = _detect(scenario, getattr(scenario, isp), scenario.urls[key])
+        asn = {"isp_a": ISP_A_ASN, "isp_b": ISP_B_ASN}[isp]
+        outcome = _detect(scenario, scenario.isps[asn], scenario.spec.urls[key])
         # Old golden semantics: DetectionOutcome status + stage evidence.
         assert outcome.status is status
         assert outcome.stages == stages

@@ -11,7 +11,8 @@ import pytest
 from repro.core import CSawClient, TraceMode
 from repro.core.config import CSawConfig
 from repro.core.trace import DISABLED_TRACE
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import ISP_A_ASN
 
 MODES = ("off", "sampled", "ring", "full")
 
@@ -19,12 +20,14 @@ MODES = ("off", "sampled", "ring", "full")
 def run_storm(trace_mode, rounds=6, sample_rate=0.5):
     """The same multi-URL request storm under one trace mode; returns
     everything a mode could possibly perturb."""
-    scenario = pakistan_case_study(seed=29, with_proxy_fleet=False)
+    scenario = ScenarioCompiler().compile(
+        pakistan_spec(seed=29, with_proxy_fleet=False)
+    )
     world = scenario.world
     client = CSawClient(
         world,
         "modes",
-        [scenario.isp_a],
+        [scenario.isps[ISP_A_ASN]],
         transports=scenario.make_transports("modes"),
         config=CSawConfig(
             probe_probability=0.0,
@@ -34,9 +37,9 @@ def run_storm(trace_mode, rounds=6, sample_rate=0.5):
         ),
     )
     urls = [
-        scenario.urls["small-unblocked"],
-        scenario.urls["youtube"],
-        scenario.urls["table5/tcp-ip"],
+        scenario.spec.urls["small-unblocked"],
+        scenario.spec.urls["youtube"],
+        scenario.spec.urls["table5/tcp-ip"],
     ]
     responses = []
 

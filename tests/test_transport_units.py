@@ -12,12 +12,13 @@ from repro.circumvent import (
     VpnTransport,
     build_proxy_fleet,
 )
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import CLEAN_ASN, ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=777, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=777, with_proxy_fleet=False))
 
 
 def make_ctx(scenario, isp, name):
@@ -35,9 +36,9 @@ class TestVpn:
         assert vpn.provides_anonymity
         assert vpn.uses_relay
         assert vpn.name == "vpn:vpn-nl"
-        ctx = make_ctx(scenario, scenario.isp_b, "vpn-1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "vpn-1")
         result = world.run_process(
-            vpn.fetch(world, ctx, scenario.urls["youtube"])
+            vpn.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert result.ok
         assert result.response.size_bytes == 360_000
@@ -45,15 +46,15 @@ class TestVpn:
     def test_vpn_endpoint_blacklisted(self, scenario):
         world = scenario.world
         endpoint = world.network.add_host("vpn-blocked", "netherlands")
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(matcher=Matcher(ips={endpoint.ip}),
                  ip=IpVerdict(IpAction.DROP), label="vpn-kill")
         )
         vpn = VpnTransport(endpoint)
-        ctx = make_ctx(scenario, scenario.isp_a, "vpn-2")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "vpn-2")
         result = world.run_process(
-            vpn.fetch(world, ctx, scenario.urls["youtube"])
+            vpn.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert result.failed
         assert result.failure_stage == "tcp"
@@ -70,8 +71,8 @@ class TestVpn:
 
         vpn = VpnTransport(host_a)
         proxy = StaticProxyTransport(host_b)
-        ctx = make_ctx(scenario, scenario.isp_clean, "vpn-3")
-        url = scenario.urls["small-unblocked"]
+        ctx = make_ctx(scenario, scenario.isps[CLEAN_ASN], "vpn-3")
+        url = scenario.spec.urls["small-unblocked"]
         vpn_result = world.run_process(vpn.fetch(world, ctx, url))
         proxy_result = world.run_process(proxy.fetch(world, ctx, url))
         assert vpn_result.ok and proxy_result.ok
@@ -102,7 +103,7 @@ class TestHoldOnCosts:
         margin = world.dns_config.hold_on_margin
         from repro.simnet.dns import resolve
 
-        ctx = make_ctx(scenario, scenario.isp_clean, "ho-1")
+        ctx = make_ctx(scenario, scenario.isps[CLEAN_ASN], "ho-1")
         t0 = world.env.now
         world.run_process(
             resolve(world.env, world.network, ctx, "www.youtube.com",

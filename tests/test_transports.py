@@ -12,17 +12,13 @@ from repro.circumvent import (
     LanternSystem,
     PublicDnsTransport,
 )
-from repro.workloads.scenarios import (
-    FRONT,
-    PORN_SITE,
-    YOUTUBE,
-    pakistan_case_study,
-)
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import FRONT, ISP_A_ASN, ISP_B_ASN, PORN_SITE, YOUTUBE
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=33, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=33, with_proxy_fleet=False))
 
 
 def make_ctx(scenario, isp, name):
@@ -38,16 +34,16 @@ def fetch(scenario, transport, ctx, url):
 
 class TestDirect:
     def test_unblocked_succeeds(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "d1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "d1")
         result = fetch(
-            scenario, DirectTransport(), ctx, scenario.urls["small-unblocked"]
+            scenario, DirectTransport(), ctx, scenario.spec.urls["small-unblocked"]
         )
         assert result.ok
         assert result.response.size_bytes == 95_000
 
     def test_blocked_gets_blockpage_via_redirect(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "d2")
-        result = fetch(scenario, DirectTransport(), ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "d2")
+        result = fetch(scenario, DirectTransport(), ctx, scenario.spec.urls["youtube"])
         # The fetch "succeeds" — with the censor's block page: the injected
         # 302 sits in the redirect chain, the final 200 is the block page.
         assert result.ok
@@ -55,8 +51,8 @@ class TestDirect:
         assert result.response.size_bytes < 5_000
 
     def test_multistage_block_fails(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_b, "d3")
-        result = fetch(scenario, DirectTransport(), ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "d3")
+        result = fetch(scenario, DirectTransport(), ctx, scenario.spec.urls["youtube"])
         # The forged DNS answer points into private space with no listener:
         # a naive client stalls out in the TCP handshake.
         assert result.failed
@@ -65,8 +61,8 @@ class TestDirect:
 
 class TestLocalFixes:
     def test_https_defeats_http_blocking(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "h1")
-        result = fetch(scenario, HttpsTransport(), ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "h1")
+        result = fetch(scenario, HttpsTransport(), ctx, scenario.spec.urls["youtube"])
         assert result.ok
         assert not result.response.injected
         assert result.response.size_bytes == 360_000
@@ -74,8 +70,8 @@ class TestLocalFixes:
     def test_https_fails_on_isp_b(self, scenario):
         # ISP-B tampers with DNS before TLS ever starts, so the HTTPS fix
         # dies in the handshake to the forged address.
-        ctx = make_ctx(scenario, scenario.isp_b, "h2")
-        result = fetch(scenario, HttpsTransport(), ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "h2")
+        result = fetch(scenario, HttpsTransport(), ctx, scenario.spec.urls["youtube"])
         assert result.failed
         assert result.failure_stage == "tcp"
 
@@ -84,14 +80,14 @@ class TestLocalFixes:
         world = scenario.world
         world.web.add_site("sni-blocked.example", location="us-east")
         world.web.add_page("http://sni-blocked.example/", size_bytes=10_000)
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(domains={"sni-blocked.example"}),
                 tls=TlsVerdict(TlsAction.DROP),
             )
         )
-        ctx = make_ctx(scenario, scenario.isp_a, "h3")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "h3")
         result = fetch(
             scenario, HttpsTransport(), ctx, "http://sni-blocked.example/"
         )
@@ -99,45 +95,47 @@ class TestLocalFixes:
         assert result.failure_stage == "tls"
 
     def test_public_dns_defeats_resolver_tampering(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_b, "p1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "p1")
         # ISP-B redirects YouTube DNS but also drops HTTP: public DNS alone
         # fixes resolution yet the GET still dies -> combined failure.
         result = fetch(
-            scenario, PublicDnsTransport(), ctx, scenario.urls["youtube"]
+            scenario, PublicDnsTransport(), ctx, scenario.spec.urls["youtube"]
         )
         assert result.failed
         assert result.failure_stage == "http"
 
     def test_fronting_defeats_multistage(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_b, "f1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "f1")
         transport = DomainFrontingTransport(FRONT)
-        assert transport.available_for(scenario.world, scenario.urls["youtube"])
-        result = fetch(scenario, transport, ctx, scenario.urls["youtube"])
+        assert transport.available_for(scenario.world, scenario.spec.urls["youtube"])
+        result = fetch(scenario, transport, ctx, scenario.spec.urls["youtube"])
         assert result.ok
         assert result.response.size_bytes == 360_000
 
     def test_fronting_unavailable_without_backend_support(self, scenario):
         transport = DomainFrontingTransport(FRONT)
         assert not transport.available_for(
-            scenario.world, scenario.urls["small-unblocked"]
+            scenario.world, scenario.spec.urls["small-unblocked"]
         )
 
     def test_ip_as_hostname_defeats_keyword_filter(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "i1")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "i1")
         transport = IpAsHostnameTransport()
-        result = fetch(scenario, transport, ctx, scenario.urls["porn"])
+        result = fetch(scenario, transport, ctx, scenario.spec.urls["porn"])
         assert result.ok
         assert result.response.size_bytes == 50_000
 
     def test_ip_as_hostname_fails_against_ip_blacklist(self, scenario):
         world = scenario.world
         porn_ip = world.network.hosts_by_name[PORN_SITE].ip
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
+        policy = world.network.ases[ISP_A_ASN].censor.policy
         policy.add_rule(
             Rule(matcher=Matcher(ips={porn_ip}), ip=IpVerdict(IpAction.DROP))
         )
-        ctx = make_ctx(scenario, scenario.isp_a, "i2")
-        result = fetch(scenario, IpAsHostnameTransport(), ctx, scenario.urls["porn"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "i2")
+        result = fetch(
+            scenario, IpAsHostnameTransport(), ctx, scenario.spec.urls["porn"]
+        )
         assert result.failed
         assert result.failure_stage == "tcp"
 
@@ -151,29 +149,31 @@ class TestLocalFixes:
 
 class TestRelays:
     def test_static_proxy_fetches_blocked_page(self):
-        scenario = pakistan_case_study(seed=34, with_proxy_fleet=True)
-        ctx = make_ctx(scenario, scenario.isp_b, "sp1")
-        proxy = scenario.proxy_transports[1]  # Netherlands
-        result = fetch(scenario, proxy, ctx, scenario.urls["youtube"])
+        scenario = ScenarioCompiler().compile(
+            pakistan_spec(seed=34, with_proxy_fleet=True)
+        )
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "sp1")
+        proxy = scenario.proxies[1]  # Netherlands
+        result = fetch(scenario, proxy, ctx, scenario.spec.urls["youtube"])
         assert result.ok
         assert result.response.size_bytes == 360_000
 
     def test_tor_fetches_blocked_page(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_b, "t1")
-        tor = scenario.tor_transport("t1")
-        result = fetch(scenario, tor, ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "t1")
+        tor = scenario.make_transports("t1", include=["tor"])[0]
+        result = fetch(scenario, tor, ctx, scenario.spec.urls["youtube"])
         assert result.ok
 
     def test_tor_slower_than_direct(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "t2")
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "t2")
         direct = fetch(
-            scenario, DirectTransport(), ctx, scenario.urls["small-unblocked"]
+            scenario, DirectTransport(), ctx, scenario.spec.urls["small-unblocked"]
         )
         tor = fetch(
             scenario,
-            scenario.tor_transport("t2"),
+            scenario.make_transports("t2", include=["tor"])[0],
             ctx,
-            scenario.urls["small-unblocked"],
+            scenario.spec.urls["small-unblocked"],
         )
         assert tor.ok and direct.ok
         assert tor.elapsed > direct.elapsed
@@ -202,7 +202,7 @@ class TestRelays:
         world = scenario.world
         client = scenario.tor.client("blocked-entry")
         circuit = client.new_circuit(0.0)
-        policy = world.network.ases[scenario.isp_b.asn].censor.policy
+        policy = world.network.ases[ISP_B_ASN].censor.policy
         policy.add_rule(
             Rule(
                 matcher=Matcher(ips={circuit.entry.host.ip}),
@@ -212,38 +212,38 @@ class TestRelays:
         from repro.circumvent import TorTransport
 
         transport = TorTransport(client)
-        ctx = make_ctx(scenario, scenario.isp_b, "t3")
-        result = fetch(scenario, transport, ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "t3")
+        result = fetch(scenario, transport, ctx, scenario.spec.urls["youtube"])
         assert result.failed
         assert result.failure_stage == "tcp"
 
     def test_lantern_transport_relays(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_b, "l1")
-        lantern = scenario.lantern_transport("l1")
-        result = fetch(scenario, lantern, ctx, scenario.urls["youtube"])
+        ctx = make_ctx(scenario, scenario.isps[ISP_B_ASN], "l1")
+        lantern = scenario.make_transports("l1", include=["lantern"])[0]
+        result = fetch(scenario, lantern, ctx, scenario.spec.urls["youtube"])
         assert result.ok
 
     def test_lantern_system_caches_blocked_hosts(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "l2")
-        system = LanternSystem(scenario.lantern_transport("l2"))
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "l2")
+        system = LanternSystem(scenario.make_transports("l2", include=["lantern"])[0])
         world = scenario.world
         first = world.run_process(
-            system.fetch(world, ctx, scenario.urls["youtube"])
+            system.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert first.ok
         assert system._blocked_hosts.get(YOUTUBE)
         t0 = world.env.now
         second = world.run_process(
-            system.fetch(world, ctx, scenario.urls["youtube"])
+            system.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert second.ok
         assert second.transport == "lantern"  # straight to the relay
 
     def test_lantern_system_direct_when_unblocked(self, scenario):
-        ctx = make_ctx(scenario, scenario.isp_a, "l3")
-        system = LanternSystem(scenario.lantern_transport("l3"))
+        ctx = make_ctx(scenario, scenario.isps[ISP_A_ASN], "l3")
+        system = LanternSystem(scenario.make_transports("l3", include=["lantern"])[0])
         result = scenario.world.run_process(
-            system.fetch(scenario.world, ctx, scenario.urls["small-unblocked"])
+            system.fetch(scenario.world, ctx, scenario.spec.urls["small-unblocked"])
         )
         assert result.ok
         assert result.transport == "lantern-direct"

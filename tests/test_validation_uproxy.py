@@ -5,12 +5,13 @@ import pytest
 
 from repro.circumvent import FriendProxyTransport
 from repro.core import BlockStatus, BlockType, CSawClient, ReportItem, ServerDB
-from repro.workloads.scenarios import pakistan_case_study
+from repro.scenarios import ScenarioCompiler, pakistan_spec
+from repro.scenarios.library import CLEAN_ASN, ISP_A_ASN, ISP_B_ASN
 
 
 @pytest.fixture()
 def scenario():
-    return pakistan_case_study(seed=606, with_proxy_fleet=False)
+    return ScenarioCompiler().compile(pakistan_spec(seed=606, with_proxy_fleet=False))
 
 
 class TestDissent:
@@ -58,11 +59,11 @@ class TestDissent:
         world = scenario.world
         server = ServerDB(entry_ttl=None)
         client = CSawClient(
-            world, "val-1", [scenario.isp_a],
+            world, "val-1", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("val-1"),
             server_db=server,
         )
-        url = scenario.urls["small-unblocked"]
+        url = scenario.spec.urls["small-unblocked"]
 
         def flow():
             yield from client.install()
@@ -84,17 +85,17 @@ class TestDissent:
     def test_client_validate_confirms_real_blocking(self, scenario):
         world = scenario.world
         client = CSawClient(
-            world, "val-2", [scenario.isp_a],
+            world, "val-2", [scenario.isps[ISP_A_ASN]],
             transports=scenario.make_transports("val-2"),
         )
 
         def flow():
-            outcome = yield from client.validate(scenario.urls["youtube"])
+            outcome = yield from client.validate(scenario.spec.urls["youtube"])
             return outcome
 
         outcome = world.run_process(flow())
         assert outcome.blocked
-        assert client.local_db.lookup(scenario.urls["youtube"])[0] is (
+        assert client.local_db.lookup(scenario.spec.urls["youtube"])[0] is (
             BlockStatus.BLOCKED
         )
 
@@ -109,10 +110,10 @@ class TestFriendProxy:
         world = scenario.world
         friend = self.make_friend(scenario)
         transport = FriendProxyTransport(friend, online_probability=1.0)
-        client, access = world.add_client("up-1", [scenario.isp_b])
+        client, access = world.add_client("up-1", [scenario.isps[ISP_B_ASN]])
         ctx = world.new_ctx(client, access, stream="up-1")
         result = world.run_process(
-            transport.fetch(world, ctx, scenario.urls["youtube"])
+            transport.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert result.ok
         assert result.transport == "uproxy"
@@ -121,11 +122,11 @@ class TestFriendProxy:
         world = scenario.world
         friend = self.make_friend(scenario, "friend-off")
         transport = FriendProxyTransport(friend, online_probability=0.0)
-        client, access = world.add_client("up-2", [scenario.isp_b])
+        client, access = world.add_client("up-2", [scenario.isps[ISP_B_ASN]])
         ctx = world.new_ctx(client, access, stream="up-2")
         t0 = world.env.now
         result = world.run_process(
-            transport.fetch(world, ctx, scenario.urls["youtube"])
+            transport.fetch(world, ctx, scenario.spec.urls["youtube"])
         )
         assert result.failed
         assert result.failure_stage == "tcp"
@@ -140,14 +141,14 @@ class TestFriendProxy:
             friend, online_probability=0.5, rng=random.Random(13),
             session_length=600.0,
         )
-        client, access = world.add_client("up-3", [scenario.isp_clean])
+        client, access = world.add_client("up-3", [scenario.isps[CLEAN_ASN]])
         outcomes = []
 
         def flow():
             for _ in range(20):
                 ctx = world.new_ctx(client, access, stream="up-3")
                 result = yield from transport.fetch(
-                    world, ctx, scenario.urls["small-unblocked"]
+                    world, ctx, scenario.spec.urls["small-unblocked"]
                 )
                 outcomes.append(result.ok)
                 yield world.env.timeout(700.0)  # next presence session
@@ -170,20 +171,20 @@ class TestFriendProxy:
         world = scenario.world
         friend = self.make_friend(scenario, "friend-flaky", bw=3e6)
         client = CSawClient(
-            world, "up-4", [scenario.isp_b],
+            world, "up-4", [scenario.isps[ISP_B_ASN]],
             transports=[
                 FriendProxyTransport(
                     friend, online_probability=0.4,
                     rng=random.Random(5), session_length=300.0,
                 ),
-                scenario.lantern_transport("up-4"),
+                scenario.make_transports("up-4", include=["lantern"])[0],
             ],
         )
         paths = []
 
         def flow():
             for _ in range(14):
-                response = yield from client.request(scenario.urls["youtube"])
+                response = yield from client.request(scenario.spec.urls["youtube"])
                 yield response.measurement_process
                 paths.append(response.path)
                 yield world.env.timeout(400.0)

@@ -1,11 +1,15 @@
-"""Tests for the workload generators: corpus, pilot, events, ONI sweep."""
+"""Tests for the workload generators: corpus, pilot, the §7.5 wave and
+staggered rollouts, ONI sweep."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.scenarios import ScenarioCompiler, ScenarioRunner, ScenarioSpec, wave_spec
+from repro.scenarios.library import WAVE_ASNS
+from repro.scenarios.spec import RollingSpec
 from repro.workloads.corpus import build_corpus
-from repro.workloads.events import BlockingWave
 from repro.workloads.oni import FIG2_CATEGORIES, OniSweep
 from repro.workloads.pilot import PilotConfig, PilotStudy
 from repro.simnet.world import World
@@ -104,34 +108,34 @@ class TestPilotSmall:
         assert study.server.update_count == report.unique_updates
 
 
-class TestBlockingWave:
-    def test_wave_detects_all_five_events(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
+def _service(url):
+    return "Twitter" if "twitter" in url else "Instagram"
+
+
+class TestWaveRunner:
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return ScenarioRunner().run(wave_spec(seed=6, users_per_as=3))
+
+    def test_wave_detects_all_five_events(self, outcome):
+        observations = outcome.observations
         assert len(observations) == 5
-        services = {(o.service, o.asn) for o in observations}
+        services = {(_service(o.url), o.asn) for o in observations}
         assert ("Twitter", 38193) in services
         assert ("Twitter", 17557) in services
-        assert sum(1 for o in observations if o.service == "Instagram") == 3
+        assert sum(1 for o in observations if _service(o.url) == "Instagram") == 3
 
-    def test_detection_lags_blocking_onset(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
-        onsets = {
-            (e.asn, "Twitter" if "twitter" in e.domain else "Instagram"): e.time
-            for e in wave.events
-        }
-        for obs in observations:
-            onset = onsets[(obs.asn, obs.service)]
+    def test_detection_lags_blocking_onset(self, outcome):
+        onsets = {(e.asn, _service(e.domain)): e.time for e in outcome.events}
+        for obs in outcome.observations:
+            onset = onsets[(obs.asn, _service(obs.url))]
             assert obs.detected_at >= onset
             # Users browse every ~30 min: detection within a few hours.
             assert obs.detected_at - onset < 6 * 3600.0
 
-    def test_mechanism_labels_match_paper_vocabulary(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
+    def test_mechanism_labels_match_paper_vocabulary(self, outcome):
         by_asn = {
-            (o.asn, o.service): o.symptom for o in observations
+            (o.asn, _service(o.url)): o.symptom for o in outcome.observations
         }
         assert by_asn[(38193, "Twitter")] == "HTTP_GET_TIMEOUT"
         assert by_asn[(17557, "Twitter")] == "HTTP_GET_BLOCKPAGE"
@@ -178,49 +182,60 @@ class TestOniSweep:
 
 
 class TestStaggeredRollout:
+    """A ``[rolling]`` section: one directive, a per-AS lag per AS."""
+
     def test_events_cover_all_pairs(self):
-        import random
-
-        from repro.workloads.events import staggered_rollout
-
-        events = staggered_rollout(
-            ["a.example", "b.example"], [1, 2, 3], start=100.0, lag=3600.0,
-            rng=random.Random(4),
-        )
+        asns = [64901, 64902, 64903]
+        spec = ScenarioSpec.from_dict({
+            "name": "rollout",
+            "description": "two domains, three ASes",
+            "seed": 4,
+            "sites": [{"hostname": "a.example"}, {"hostname": "b.example"}],
+            "policies": [{"name": "p"}],
+            "ases": [{"asn": asn, "policy": "p"} for asn in asns],
+            "rolling": {
+                "domains": ["a.example", "b.example"], "asns": asns,
+                "start": 100.0, "lag": 3600.0, "mechanisms": ["http-drop"],
+            },
+        })
+        events = ScenarioCompiler().compile(spec).events
         assert len(events) == 6
         assert {(e.asn, e.domain) for e in events} == {
-            (asn, d) for asn in (1, 2, 3) for d in ("a.example", "b.example")
+            (asn, d) for asn in asns for d in ("a.example", "b.example")
         }
 
     def test_per_as_lag_within_bounds_and_uneven(self):
-        import random
-
-        from repro.workloads.events import staggered_rollout
-
-        events = staggered_rollout(
-            ["a.example"], list(range(8)), start=0.0, lag=7200.0,
-            rng=random.Random(9),
-        )
-        times = sorted(e.time for e in events)
+        asns = list(range(64901, 64909))
+        spec = ScenarioSpec.from_dict({
+            "name": "rollout",
+            "description": "one domain, eight ASes",
+            "seed": 9,
+            "sites": [{"hostname": "a.example"}],
+            "policies": [{"name": "p"}],
+            "ases": [{"asn": asn, "policy": "p"} for asn in asns],
+            "rolling": {
+                "domains": ["a.example"], "asns": asns,
+                "start": 0.0, "lag": 7200.0, "mechanisms": ["http-drop"],
+            },
+        })
+        times = sorted(e.time for e in ScenarioCompiler().compile(spec).events)
         assert all(0.0 <= t <= 7200.0 for t in times)
         assert len(set(times)) > 1  # genuinely staggered
 
     def test_rollout_drives_blocking_wave(self):
         """A staggered directive replayed through the wave machinery: the
         global DB's first-detection times reflect the per-AS lag order."""
-        import random
-
-        from repro.workloads.events import BlockingWave, staggered_rollout
-
-        wave = BlockingWave(seed=12, users_per_as=3, duration=30 * 3600.0)
-        events = staggered_rollout(
-            ["twitter.com"], list(wave.DEFAULT_ASNS), start=8 * 3600.0,
-            lag=6 * 3600.0, mechanism="blockpage", rng=random.Random(2),
+        spec = dataclasses.replace(
+            wave_spec(seed=12, users_per_as=3, duration=30 * 3600.0),
+            events=(),
+            rolling=RollingSpec(
+                domains=("twitter.com",), asns=WAVE_ASNS,
+                start=8 * 3600.0, lag=6 * 3600.0,
+            ),
         )
-        wave.build(events=events)
-        observations = wave.run()
-        assert len(observations) == len(wave.DEFAULT_ASNS)
-        onset = {e.asn: e.time for e in events}
-        for obs in observations:
+        outcome = ScenarioRunner().run(spec)
+        assert len(outcome.observations) == len(WAVE_ASNS)
+        onset = {e.asn: e.time for e in outcome.events}
+        for obs in outcome.observations:
             assert obs.detected_at >= onset[obs.asn]
             assert obs.symptom == "HTTP_GET_BLOCKPAGE"
